@@ -77,7 +77,9 @@ BM_StitchAndUnstitch(benchmark::State &state)
         auto req_flit = noc::segmentPacket(req, 16).front();
         auto &tail = flits.back();
         engine.stitch(*tail, req_flit);
-        benchmark::DoNotOptimize(engine.unstitch(tail));
+        std::vector<noc::FlitPtr> out;
+        engine.unstitch(tail, out);
+        benchmark::DoNotOptimize(out);
     }
 }
 BENCHMARK(BM_StitchAndUnstitch);

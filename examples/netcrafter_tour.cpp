@@ -36,7 +36,8 @@ main()
     stitcher.stitch(*rsp_flits.back(), req_flit);
     std::cout << "stitched. The wire flit now carries "
               << rsp_flits.back()->usedBytes() << "/16 bytes.\n";
-    auto restored = stitcher.unstitch(rsp_flits.back());
+    std::vector<noc::FlitPtr> restored;
+    stitcher.unstitch(rsp_flits.back(), restored);
     std::cout << "Un-stitching restores " << restored.size()
               << " flits at the receiving cluster switch.\n\n";
 

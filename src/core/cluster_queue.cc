@@ -189,7 +189,7 @@ ClusterQueue::takeCandidate(ClusterId dst, std::uint16_t free_bytes,
                             const noc::Flit *exclude)
 {
     DstQueues &dq = queuesFor(dst);
-    std::deque<noc::FlitPtr> *best_q = nullptr;
+    sim::RingQueue<noc::FlitPtr> *best_q = nullptr;
     std::size_t best_pos = 0;
     std::uint16_t best_bytes = 0;
 
@@ -210,8 +210,7 @@ ClusterQueue::takeCandidate(ClusterId dst, std::uint16_t free_bytes,
     if (best_q == nullptr)
         return nullptr;
     noc::FlitPtr flit = std::move((*best_q)[best_pos]);
-    best_q->erase(best_q->begin() +
-                  static_cast<std::ptrdiff_t>(best_pos));
+    best_q->erase(best_pos);
     --dq.occupancy;
     --totalOccupancy_;
     return flit;

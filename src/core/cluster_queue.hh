@@ -13,11 +13,11 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <vector>
 
 #include "src/noc/flit.hh"
+#include "src/sim/ring_queue.hh"
 #include "src/sim/types.hh"
 
 namespace netcrafter::core {
@@ -159,7 +159,7 @@ class ClusterQueue
     struct DstQueues
     {
         ClusterId dst = 0;
-        std::array<std::deque<noc::FlitPtr>, kNumCqClasses> q;
+        std::array<sim::RingQueue<noc::FlitPtr>, kNumCqClasses> q;
         std::array<Tick, kNumCqClasses> blockedUntil{};
         std::size_t occupancy = 0;
     };

@@ -48,24 +48,29 @@ NetCrafterController::tryAccept(noc::FlitPtr flit)
     // Multi-flit packet: hold flits until the tail arrives so the Trim
     // Engine can operate at packet granularity (Figure 13, step 4b).
     noc::PacketPtr pkt = flit->pkt;
-    auto &flits = pending_[pkt->id];
     const bool is_tail = flit->isTail();
-    flits.push_back(std::move(flit));
+    pending_.add(pkt->id, std::move(flit));
     ++pendingPerDst_[dst];
-    if (is_tail) {
-        std::vector<noc::FlitPtr> whole = std::move(flits);
-        pending_.erase(pkt->id);
-        pendingPerDst_[dst] -= whole.size();
-        completePacket(pkt, std::move(whole));
-    }
+    if (is_tail)
+        completePacket(pkt, pending_.take(pkt->id));
     return true;
 }
 
 void
 NetCrafterController::completePacket(const noc::PacketPtr &pkt,
-                                     std::vector<noc::FlitPtr> flits)
+                                     HeldFlits::Chain flits)
 {
+    const ClusterId dst = clusterOf_(pkt->dst);
+    noc::FlitPtr flit;
     if (cfg_.trimming && trim_.shouldTrim(*pkt)) {
+        std::size_t count = 0;
+        std::uint32_t flit_bytes = 0;
+        while (pending_.pop(flits, flit)) {
+            flit_bytes = flit->capacity;
+            ++count;
+        }
+        flit = nullptr;
+        pendingPerDst_[dst] -= count;
         const std::uint32_t bytes_before = pkt->totalBytes();
         trim_.trim(*pkt);
         obs::tracepoint(engine(), obs::TraceLevel::Links,
@@ -74,10 +79,15 @@ NetCrafterController::completePacket(const noc::PacketPtr &pkt,
                         bytes_before, pkt->totalBytes());
         // Re-segment the now-smaller packet; the discarded flits are
         // never transmitted on the lower-bandwidth network.
-        flits = noc::segmentPacket(pkt, flits.front()->capacity);
+        noc::segmentPacket(pkt, flit_bytes, [this](noc::FlitPtr f) {
+            enqueue(std::move(f));
+        });
+        return;
     }
-    for (auto &f : flits)
-        enqueue(std::move(f));
+    while (pending_.pop(flits, flit)) {
+        --pendingPerDst_[dst];
+        enqueue(std::move(flit));
+    }
 }
 
 void

@@ -13,7 +13,6 @@
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
 #include "src/config/system_config.hh"
@@ -22,8 +21,10 @@
 #include "src/core/trim_engine.hh"
 #include "src/noc/flit_buffer.hh"
 #include "src/noc/switch.hh"
+#include "src/sim/flat_map.hh"
 #include "src/sim/self_scheduling.hh"
 #include "src/sim/sim_object.hh"
+#include "src/sim/waiter_table.hh"
 
 namespace netcrafter::core {
 
@@ -70,10 +71,14 @@ class NetCrafterController : public sim::SimObject,
     const TrimStats &trimStats() const { return trim_.stats(); }
     const ClusterQueue &clusterQueue() const { return cq_; }
 
+    /** Packets whose flits are held awaiting the tail (census). */
+    std::size_t heldPackets() const { return pending_.size(); }
+
   private:
+    using HeldFlits = sim::WaiterTable<std::uint64_t, noc::FlitPtr>;
+
     void enqueue(noc::FlitPtr flit);
-    void completePacket(const noc::PacketPtr &pkt,
-                        std::vector<noc::FlitPtr> flits);
+    void completePacket(const noc::PacketPtr &pkt, HeldFlits::Chain flits);
     void schedulePump();
     void pump();
 
@@ -88,11 +93,11 @@ class NetCrafterController : public sim::SimObject,
     ClusterQueue cq_;
 
     /** Flits of multi-flit packets awaiting their tail (Trim Engine). */
-    std::unordered_map<std::uint64_t, std::vector<noc::FlitPtr>> pending_;
+    HeldFlits pending_;
 
     /** Accumulated-but-not-yet-CQ'd flits per destination cluster, so
      *  admission control covers the trim holding area too. */
-    std::unordered_map<ClusterId, std::size_t> pendingPerDst_;
+    sim::FlatMap<ClusterId, std::size_t> pendingPerDst_;
 
     sim::SelfScheduling<NetCrafterController, &NetCrafterController::pump>
         pumpWake_;
@@ -112,9 +117,7 @@ class Unstitcher : public noc::IngressProcessor
     void
     process(noc::FlitPtr flit, std::vector<noc::FlitPtr> &out) override
     {
-        auto restored = stitch_.unstitch(std::move(flit));
-        for (auto &f : restored)
-            out.push_back(std::move(f));
+        stitch_.unstitch(std::move(flit), out);
     }
 
     const StitchStats &stats() const { return stitch_.stats(); }

@@ -23,31 +23,26 @@ StitchEngine::stitch(noc::Flit &parent, noc::FlitPtr candidate)
     parent.stitched.push_back(std::move(piece));
 }
 
-std::vector<noc::FlitPtr>
-StitchEngine::unstitch(noc::FlitPtr flit)
+void
+StitchEngine::unstitch(noc::FlitPtr flit, std::vector<noc::FlitPtr> &out)
 {
-    std::vector<noc::FlitPtr> out;
     if (!flit->isStitched()) {
         out.push_back(std::move(flit));
-        return out;
+        return;
     }
     ++stats_.unstitched;
-    out.reserve(flit->stitched.size() + 1);
-
-    std::vector<noc::StitchedPiece> pieces = std::move(flit->stitched);
-    flit->stitched.clear();
+    noc::Flit &parent = *flit;
     out.push_back(std::move(flit));
-
-    for (auto &piece : pieces) {
+    for (noc::StitchedPiece &piece : parent.stitched) {
         auto restored = noc::makeFlit();
         restored->pkt = std::move(piece.pkt);
         restored->seq = piece.seq;
         restored->numFlits = piece.numFlits;
         restored->occupiedBytes = piece.bytes;
-        restored->capacity = out.front()->capacity;
+        restored->capacity = parent.capacity;
         out.push_back(std::move(restored));
     }
-    return out;
+    parent.stitched.clear();
 }
 
 } // namespace netcrafter::core

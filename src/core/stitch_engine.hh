@@ -65,11 +65,12 @@ class StitchEngine
     void stitch(noc::Flit &parent, noc::FlitPtr candidate);
 
     /**
-     * Take a stitched wire flit apart: returns the parent flit (stripped
-     * of pieces) followed by one reconstructed flit per piece. Non-
-     * stitched flits pass through unchanged as a single-element vector.
+     * Take a stitched wire flit apart: appends the parent flit (stripped
+     * of pieces) followed by one reconstructed flit per piece to @p out.
+     * Non-stitched flits pass through unchanged as a single element. The
+     * parent keeps its piece storage for reuse.
      */
-    std::vector<noc::FlitPtr> unstitch(noc::FlitPtr flit);
+    void unstitch(noc::FlitPtr flit, std::vector<noc::FlitPtr> &out);
 
     const StitchStats &stats() const { return stats_; }
 

@@ -10,7 +10,6 @@
 #define NETCRAFTER_GPU_COALESCER_HH
 
 #include <cstdint>
-#include <vector>
 
 #include "src/workloads/workload.hh"
 
@@ -32,10 +31,46 @@ struct CoalescedAccess
 };
 
 /**
+ * The line accesses of one instruction, in first-touch order. A
+ * wavefront touches at most kWavefrontSize lines, so the list lives
+ * inline; only the first size() entries are ever written.
+ */
+class CoalescedAccesses
+{
+  public:
+    CoalescedAccesses() {}
+
+    std::size_t size() const { return size_; }
+    bool empty() const { return size_ == 0; }
+
+    const CoalescedAccess &
+    operator[](std::size_t i) const
+    {
+        return storage_.items[i];
+    }
+
+    const CoalescedAccess *begin() const { return storage_.items; }
+    const CoalescedAccess *end() const { return storage_.items + size_; }
+
+  private:
+    friend CoalescedAccesses coalesce(const workloads::Instruction &);
+
+    /** Uninitialized slots: zeroing all 64 per instruction is wasted. */
+    union Storage
+    {
+        Storage() {}
+        CoalescedAccess items[kWavefrontSize];
+    };
+
+    std::uint32_t size_ = 0;
+    Storage storage_;
+};
+
+/**
  * Coalesce @p instr into per-line accesses, ordered by first touch.
  * Inactive lanes (kAddrInvalid) are skipped.
  */
-std::vector<CoalescedAccess> coalesce(const workloads::Instruction &instr);
+CoalescedAccesses coalesce(const workloads::Instruction &instr);
 
 } // namespace netcrafter::gpu
 

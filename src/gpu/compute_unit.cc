@@ -1,6 +1,7 @@
 #include "src/gpu/compute_unit.hh"
 
-#include <map>
+#include <algorithm>
+#include <array>
 
 #include "src/sim/logging.hh"
 
@@ -12,8 +13,12 @@ ComputeUnit::ComputeUnit(sim::Engine &engine, std::string name,
                          vm::Tlb::MissHandler tlb_miss,
                          std::function<void(const WaveDesc &)> wave_done)
     : SimObject(engine, std::move(name)), params_(params),
-      waveDone_(std::move(wave_done))
+      waveDone_(std::move(wave_done)), waves_(params.maxResidentWaves)
 {
+    // An instruction touches at most one line per lane: sized once, a
+    // slot's line list never reallocates.
+    for (WaveState &wave : waves_)
+        wave.lines.reserve(kWavefrontSize);
     l1_ = std::make_unique<mem::L1Cache>(engine, this->name() + ".l1",
                                          params_.l1, std::move(fill));
     l1Tlb_ = std::make_unique<vm::Tlb>(engine, this->name() + ".l1tlb",
@@ -34,12 +39,21 @@ ComputeUnit::startWavefront(const WaveDesc &desc)
 {
     NC_ASSERT(hasFreeSlot(), name(), ": no free wavefront slot");
     NC_ASSERT(desc.kernel != nullptr, "wavefront without kernel");
-    waves_.emplace_back(desc);
-    WaveState *wave = &waves_.back();
+    WaveState *wave = &*std::find_if(
+        waves_.begin(), waves_.end(),
+        [](const WaveState &w) { return !w.resident; });
+    wave->desc = desc;
+    wave->rng = Pcg32(desc.seed,
+                      (static_cast<std::uint64_t>(desc.cta) << 20) ^
+                          desc.wave);
+    wave->resident = true;
+    wave->nextInstr = 0;
+    wave->pendingTranslations = 0;
+    wave->pendingLines = 0;
+    wave->computeDelay = 0;
+    ++resident_;
     // Stagger wavefront starts slightly so they do not lockstep.
-    schedule(1 + (waves_.size() % 4), [this, wave] {
-        startInstruction(wave);
-    });
+    schedule(1 + (resident_ % 4), [this, wave] { startInstruction(wave); });
 }
 
 void
@@ -56,7 +70,7 @@ ComputeUnit::startInstruction(WaveState *wave)
     ++wave->nextInstr;
     ++instructions_;
 
-    auto accesses = coalesce(instr);
+    const CoalescedAccesses accesses = coalesce(instr);
     if (accesses.empty()) {
         // A pure-compute step: just burn the delay.
         schedule(std::max<Tick>(1, instr.computeDelay),
@@ -66,54 +80,66 @@ ComputeUnit::startInstruction(WaveState *wave)
 
     wave->computeDelay = instr.computeDelay;
     wave->pendingLines = static_cast<std::uint32_t>(accesses.size());
+    wave->lines.assign(accesses.begin(), accesses.end());
 
-    // Group the accesses by virtual page; each distinct page needs one
-    // translation before its lines can be dispatched.
-    std::map<Addr, std::vector<CoalescedAccess>> by_page;
-    for (const auto &a : accesses)
-        by_page[a.line / kPageBytes].push_back(a);
+    // Each distinct virtual page needs one translation before its lines
+    // can be dispatched; translations issue in ascending page order.
+    std::array<Addr, kWavefrontSize> vpns;
+    std::size_t n = 0;
+    for (const CoalescedAccess &a : accesses)
+        vpns[n++] = a.line / kPageBytes;
+    std::sort(vpns.begin(), vpns.begin() + n);
+    n = static_cast<std::size_t>(
+        std::unique(vpns.begin(), vpns.begin() + n) - vpns.begin());
 
-    wave->pendingTranslations =
-        static_cast<std::uint32_t>(by_page.size());
-    for (auto &[vpn, page_accesses] : by_page)
-        issueTranslation(wave, vpn, std::move(page_accesses));
+    wave->pendingTranslations = static_cast<std::uint32_t>(n);
+    for (std::size_t i = 0; i < n; ++i)
+        issueTranslation(wave, vpns[i]);
 }
 
 void
-ComputeUnit::issueTranslation(WaveState *wave, Addr vpn,
-                              std::vector<CoalescedAccess> accesses)
+ComputeUnit::issueTranslation(WaveState *wave, Addr vpn)
 {
-    l1Tlb_->access(vpn, [this, wave, accesses = std::move(accesses)](
-                            vm::Translation) {
+    l1Tlb_->access(vpn, [this, wave, vpn](vm::Translation) {
         NC_ASSERT(wave->pendingTranslations > 0,
                   "translation underflow");
         --wave->pendingTranslations;
-        enqueueLines(wave, accesses);
+        enqueueLines(wave, vpn);
     });
 }
 
 void
-ComputeUnit::enqueueLines(WaveState *wave,
-                          const std::vector<CoalescedAccess> &accesses)
+ComputeUnit::enqueueLines(WaveState *wave, Addr vpn)
 {
-    for (const auto &a : accesses)
-        dispatchQueue_.push_back(PendingLine{wave, a});
+    for (const CoalescedAccess &a : wave->lines) {
+        if (a.line / kPageBytes == vpn)
+            dispatchQueue_.push_back(PendingLine{wave, a});
+    }
     scheduleDispatch();
 }
 
 void
 ComputeUnit::scheduleDispatch()
 {
-    if (dispatchScheduled_ || dispatchQueue_.empty())
+    if (dispatchEvent_.scheduled() || dispatchQueue_.empty())
         return;
-    dispatchScheduled_ = true;
-    schedule(1, [this] { dispatchCycle(); });
+    engine().schedule(dispatchEvent_, 1);
 }
 
 void
 ComputeUnit::dispatchCycle()
 {
-    dispatchScheduled_ = false;
+    if (rejectedAt_ == l1_->stateVersion()) {
+        // Nothing the head's acceptance depends on changed since it was
+        // rejected: the lookup would reject it again.
+        l1_->countRejection();
+        if (params_.wakeOnL1Unblock)
+            stalled_ = true;
+        else
+            scheduleDispatch();
+        return;
+    }
+    rejectedAt_ = kNoRejection;
     std::uint32_t issued = 0;
     while (issued < params_.issueWidth && !dispatchQueue_.empty()) {
         PendingLine &pl = dispatchQueue_.front();
@@ -139,6 +165,7 @@ ComputeUnit::dispatchCycle()
             }
         }
         if (!accepted) {
+            rejectedAt_ = l1_->stateVersion();
             if (params_.wakeOnL1Unblock) {
                 stalled_ = true;
                 return; // woken by the L1 unblock hook
@@ -169,18 +196,13 @@ ComputeUnit::maybeFinishInstruction(WaveState *wave)
 void
 ComputeUnit::retireWave(WaveState *wave)
 {
-    for (auto it = waves_.begin(); it != waves_.end(); ++it) {
-        if (&*it == wave) {
-            // Copy out the descriptor before erasing: the callback
-            // needs it (serve retirement) and the state dies here.
-            const WaveDesc desc = it->desc;
-            waves_.erase(it);
-            if (waveDone_)
-                waveDone_(desc);
-            return;
-        }
-    }
-    NC_PANIC(name(), ": retired wavefront not resident");
+    NC_ASSERT(wave->resident, name(), ": retired wavefront not resident");
+    // Copy the descriptor out: the callback may refill this slot.
+    const WaveDesc desc = wave->desc;
+    wave->resident = false;
+    --resident_;
+    if (waveDone_)
+        waveDone_(desc);
 }
 
 } // namespace netcrafter::gpu

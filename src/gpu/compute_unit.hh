@@ -12,13 +12,14 @@
 #define NETCRAFTER_GPU_COMPUTE_UNIT_HH
 
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <list>
 #include <memory>
+#include <vector>
 
 #include "src/gpu/coalescer.hh"
 #include "src/mem/l1_cache.hh"
+#include "src/sim/event.hh"
+#include "src/sim/ring_queue.hh"
 #include "src/sim/sim_object.hh"
 #include "src/vm/tlb.hh"
 #include "src/workloads/workload.hh"
@@ -81,11 +82,11 @@ class ComputeUnit : public sim::SimObject
     bool
     hasFreeSlot() const
     {
-        return waves_.size() < params_.maxResidentWaves;
+        return resident_ < params_.maxResidentWaves;
     }
 
     /** Number of currently resident wavefronts. */
-    std::size_t residentWaves() const { return waves_.size(); }
+    std::size_t residentWaves() const { return resident_; }
 
     /** Begin executing @p desc; requires hasFreeSlot(). */
     void startWavefront(const WaveDesc &desc);
@@ -97,10 +98,12 @@ class ComputeUnit : public sim::SimObject
     const vm::Tlb &l1Tlb() const { return *l1Tlb_; }
 
   private:
+    /** A wavefront slot; slots are reused, never reallocated. */
     struct WaveState
     {
         WaveDesc desc;
         Pcg32 rng;
+        bool resident = false;
         std::uint32_t nextInstr = 0;
 
         /** Accesses of the in-flight instruction, grouped by state. */
@@ -108,10 +111,9 @@ class ComputeUnit : public sim::SimObject
         std::uint32_t pendingLines = 0;
         std::uint32_t computeDelay = 0;
 
-        explicit WaveState(const WaveDesc &d)
-            : desc(d), rng(d.seed, (static_cast<std::uint64_t>(d.cta)
-                                    << 20) ^ d.wave)
-        {}
+        /** The in-flight instruction's line accesses, first-touch order
+         *  (capacity reused across instructions). */
+        std::vector<CoalescedAccess> lines;
     };
 
     /** One translated line access awaiting dispatch to the L1. */
@@ -122,10 +124,8 @@ class ComputeUnit : public sim::SimObject
     };
 
     void startInstruction(WaveState *wave);
-    void issueTranslation(WaveState *wave, Addr vpn,
-                          std::vector<CoalescedAccess> accesses);
-    void enqueueLines(WaveState *wave,
-                      const std::vector<CoalescedAccess> &accesses);
+    void issueTranslation(WaveState *wave, Addr vpn);
+    void enqueueLines(WaveState *wave, Addr vpn);
     void lineDone(WaveState *wave);
     void maybeFinishInstruction(WaveState *wave);
     void retireWave(WaveState *wave);
@@ -137,9 +137,19 @@ class ComputeUnit : public sim::SimObject
     std::unique_ptr<vm::Tlb> l1Tlb_;
     std::function<void(const WaveDesc &)> waveDone_;
 
-    std::list<WaveState> waves_;
-    std::deque<PendingLine> dispatchQueue_;
-    bool dispatchScheduled_ = false;
+    std::vector<WaveState> waves_;
+    std::size_t resident_ = 0;
+    sim::RingQueue<PendingLine> dispatchQueue_;
+    sim::MemberEvent<ComputeUnit, &ComputeUnit::dispatchCycle>
+        dispatchEvent_{this};
+
+    /**
+     * L1 stateVersion() at which the dispatch head was rejected, or
+     * kNoRejection. While the version is unchanged the head would be
+     * rejected again, so the per-cycle poll skips the lookup.
+     */
+    static constexpr std::uint64_t kNoRejection = ~std::uint64_t{0};
+    std::uint64_t rejectedAt_ = kNoRejection;
 
     /** Parked on a full L1 awaiting the unblock hook (wakeOnL1Unblock). */
     bool stalled_ = false;

@@ -134,8 +134,7 @@ MultiGpuSystem::buildChips()
         gmmu_params.walkers = cfg_.pageWalkers;
         chip.gmmu = std::make_unique<vm::Gmmu>(
             engine, prefix + ".gmmu", gmmu_params, pageTable_,
-            [this, g](const vm::WalkStep &step,
-                      std::function<void()> done) {
+            [this, g](const vm::WalkStep &step, sim::SmallFn done) {
                 fetchPte(g, step, std::move(done));
             });
 
@@ -174,9 +173,7 @@ MultiGpuSystem::buildChips()
         for (std::uint32_t c = 0; c < cfg_.cusPerGpu; ++c) {
             chip.cus.push_back(std::make_unique<ComputeUnit>(
                 engine, prefix + ".cu" + std::to_string(c), cu_params,
-                [this, g](mem::FillRequest req) {
-                    l1Fill(g, std::move(req));
-                },
+                [this, g](mem::FillRequest req) { l1Fill(g, req); },
                 [this, g](Addr vpn, vm::Tlb::Callback done) {
                     chips_[g].l2Tlb->access(vpn, std::move(done));
                 },
@@ -193,6 +190,45 @@ MultiGpuSystem::buildChips()
             });
         network_->rdma(g).setResponseHandler(
             [this](noc::PacketPtr rsp) { handleResponse(std::move(rsp)); });
+    }
+}
+
+void
+MultiGpuSystem::auditTeardown() const
+{
+    engine_.auditTeardown();
+    if (lastRunStatus_ != sim::RunStatus::Drained)
+        return;
+    // After a drain nothing may still wait on anything: a leftover entry
+    // is a request whose completion got lost.
+    const auto expectEmpty = [](std::size_t pending,
+                                const std::string &component) {
+        if (pending != 0) {
+            NC_PANIC("teardown census: ", component, " still holds ",
+                     pending, " entries after a drained run");
+        }
+    };
+    for (GpuId g = 0; g < cfg_.numGpus(); ++g) {
+        const GpuChip &chip = chips_[g];
+        for (const auto &cu : chip.cus) {
+            expectEmpty(cu->l1().inFlight(), cu->l1().name());
+            expectEmpty(cu->l1Tlb().inFlight(), cu->l1Tlb().name());
+        }
+        expectEmpty(chip.l2->inFlight(), chip.l2->name());
+        expectEmpty(chip.l2Tlb->inFlight(), chip.l2Tlb->name());
+        expectEmpty(chip.gmmu->inFlight(), chip.gmmu->name());
+        const GpuLocal &local = gpuLocal_[g];
+        expectEmpty(local.fills.size() + local.pteFetches.size(),
+                    "gpu" + std::to_string(g) + " outstanding requests");
+        const noc::RdmaEngine &rdma = network_->rdma(g);
+        expectEmpty(rdma.reassemblyInFlight(), rdma.name());
+    }
+    for (ClusterId f = 0; f < cfg_.numClusters; ++f) {
+        for (ClusterId t = 0; t < cfg_.numClusters; ++t) {
+            const auto *ctrl = f == t ? nullptr : network_->controller(f, t);
+            if (ctrl != nullptr)
+                expectEmpty(ctrl->heldPackets(), ctrl->name());
+        }
     }
 }
 
@@ -257,7 +293,7 @@ MultiGpuSystem::maskForRange(std::uint32_t offset,
 }
 
 void
-MultiGpuSystem::l1Fill(GpuId g, mem::FillRequest req)
+MultiGpuSystem::l1Fill(GpuId g, const mem::FillRequest &req)
 {
     const Addr line = req.line;
     const GpuId owner = pageTable_.dataOwner(line);
@@ -269,18 +305,13 @@ MultiGpuSystem::l1Fill(GpuId g, mem::FillRequest req)
 
     if (req.isWrite) {
         if (owner == g) {
-            chips_[g].l2->write(line, [done = std::move(req.done)] {
-                done(0);
-            });
+            chips_[g].l2->write(line, [req] { req.complete(0); });
             return;
         }
         auto pkt = noc::makePacket(noc::PacketType::WriteReq, g, owner,
                                    line);
         markPriority(*pkt, g);
-        local.outstanding[pkt->id] =
-            [done = std::move(req.done)](const noc::Packet &) {
-                done(0);
-            };
+        *local.fills.tryEmplace(pkt->id).first = FillRecord{req, 0, false};
         if (tryFusedRoundTrip(g, pkt))
             return;
         network_->sendPacket(std::move(pkt));
@@ -293,9 +324,7 @@ MultiGpuSystem::l1Fill(GpuId g, mem::FillRequest req)
             cfg_.l1FillMode == config::L1FillMode::SectorAlways
                 ? maskForRange(req.offset, req.bytes)
                 : fullL1Mask();
-        chips_[g].l2->read(line, [done = std::move(req.done), mask] {
-            done(mask);
-        });
+        chips_[g].l2->read(line, [req, mask] { req.complete(mask); });
         return;
     }
 
@@ -315,23 +344,8 @@ MultiGpuSystem::l1Fill(GpuId g, mem::FillRequest req)
     if (inter_cluster)
         local.remoteReadBytes.sample(req.bytes);
 
-    const Tick t0 = engineOf(g).now();
-    local.outstanding[pkt->id] = [this, g, t0, inter_cluster,
-                                  req = std::move(req)](
-                                     const noc::Packet &rsp) {
-        if (inter_cluster)
-            gpuLocal_[g].interReadLatency.sample(
-                static_cast<double>(engineOf(g).now() - t0));
-        mem::SectorMask mask;
-        if (rsp.payloadBytes < kCacheLineBytes) {
-            // Trimmed (NetCrafter) or sector (SectorAlways) response:
-            // only the requested sectors arrived.
-            mask = maskForRange(rsp.neededOffset, rsp.bytesNeeded);
-        } else {
-            mask = fullL1Mask();
-        }
-        req.done(mask);
-    };
+    *local.fills.tryEmplace(pkt->id).first =
+        FillRecord{req, engineOf(g).now(), inter_cluster};
     if (tryFusedRoundTrip(g, pkt))
         return;
     network_->sendPacket(std::move(pkt));
@@ -339,7 +353,7 @@ MultiGpuSystem::l1Fill(GpuId g, mem::FillRequest req)
 
 void
 MultiGpuSystem::fetchPte(GpuId g, const vm::WalkStep &step,
-                         std::function<void()> done)
+                         sim::SmallFn done)
 {
     if (step.owner == g) {
         chips_[g].l2->read(lineAddr(step.pteAddr), std::move(done));
@@ -348,8 +362,7 @@ MultiGpuSystem::fetchPte(GpuId g, const vm::WalkStep &step,
     auto pkt = noc::makePacket(noc::PacketType::PageTableReq, g,
                                step.owner, step.pteAddr);
     markPriority(*pkt, g);
-    gpuLocal_[g].outstanding[pkt->id] =
-        [done = std::move(done)](const noc::Packet &) { done(); };
+    *gpuLocal_[g].pteFetches.tryEmplace(pkt->id).first = std::move(done);
     if (tryFusedRoundTrip(g, pkt))
         return;
     network_->sendPacket(std::move(pkt));
@@ -535,12 +548,33 @@ MultiGpuSystem::handleResponse(noc::PacketPtr rsp)
                     local.traceLane, rsp->reqId,
                     static_cast<std::uint32_t>(eng.now() -
                                                rsp->injectedAt));
-    auto it = local.outstanding.find(rsp->reqId);
-    NC_ASSERT(it != local.outstanding.end(),
+    if (rsp->type == noc::PacketType::PageTableRsp) {
+        sim::SmallFn *pending = local.pteFetches.find(rsp->reqId);
+        NC_ASSERT(pending != nullptr,
+                  "response for unknown request: ", rsp->toString());
+        sim::SmallFn done = std::move(*pending);
+        local.pteFetches.erase(rsp->reqId);
+        done();
+        return;
+    }
+    const FillRecord *pending = local.fills.find(rsp->reqId);
+    NC_ASSERT(pending != nullptr,
               "response for unknown request: ", rsp->toString());
-    auto done = std::move(it->second);
-    local.outstanding.erase(it);
-    done(*rsp);
+    const FillRecord fill = *pending;
+    local.fills.erase(rsp->reqId);
+    if (fill.req.isWrite) {
+        fill.req.complete(0);
+        return;
+    }
+    if (fill.interCluster)
+        local.interReadLatency.sample(
+            static_cast<double>(eng.now() - fill.issuedAt));
+    // A trimmed (NetCrafter) or sector (SectorAlways) response carries
+    // only the requested sectors.
+    fill.req.complete(rsp->payloadBytes < kCacheLineBytes
+                          ? maskForRange(rsp->neededOffset,
+                                         rsp->bytesNeeded)
+                          : fullL1Mask());
 }
 
 void
@@ -620,6 +654,7 @@ MultiGpuSystem::runFor(workloads::Workload &workload, double scale,
         // and all induced traffic (acks, write-backs) finished: the
         // inter-kernel barrier.
         const sim::RunStatus status = engine_.run(max_cycles);
+        lastRunStatus_ = status;
         if (status != sim::RunStatus::Drained) {
             // Abandoned mid-kernel: events (and possibly cross-shard
             // exports) are still in flight. The caller decides whether
@@ -675,7 +710,7 @@ MultiGpuSystem::outstandingRequests() const
 {
     std::size_t sum = 0;
     for (const GpuLocal &local : gpuLocal_)
-        sum += local.outstanding.size();
+        sum += local.fills.size() + local.pteFetches.size();
     return sum;
 }
 

@@ -23,10 +23,8 @@
 #define NETCRAFTER_GPU_SYSTEM_HH
 
 #include <cstdint>
-#include <deque>
 #include <iosfwd>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "src/config/system_config.hh"
@@ -38,7 +36,10 @@
 #include "src/noc/network.hh"
 #include "src/obs/trace.hh"
 #include "src/sim/engine.hh"
+#include "src/sim/flat_map.hh"
+#include "src/sim/ring_queue.hh"
 #include "src/sim/sharded_engine.hh"
+#include "src/sim/small_fn.hh"
 #include "src/stats/stats.hh"
 #include "src/vm/gmmu.hh"
 #include "src/vm/page_table.hh"
@@ -110,12 +111,17 @@ class MultiGpuSystem : public workloads::PlacementDirectory
                           Tick max_cycles = 2'000'000'000ull);
 
     /**
-     * Walk shard event queues and cross-shard ports and NC_PANIC on
-     * anything still pending — the leak census run by tests and, when
-     * NETCRAFTER_TEARDOWN_CENSUS is set, by the destructor. Only
-     * meaningful after a run; a no-op for serial (1-shard) systems.
+     * Teardown census, run by tests and, when NETCRAFTER_TEARDOWN_CENSUS
+     * is set, by the destructor. With several shards it NC_PANICs on
+     * anything still pending in the shard event queues or cross-shard
+     * ports. After a drained run it also checks, serial systems
+     * included, that every MSHR file, TLB and GMMU waiter table, RDMA
+     * reassembly table, NetCrafter holding area and outstanding-request
+     * table is empty, and panics naming the first component that is
+     * not. A serial run that stopped at its cycle limit is left alone:
+     * its in-flight state is expected and safe to destroy.
      */
-    void auditTeardown() const { engine_.auditTeardown(); }
+    void auditTeardown() const;
 
     /** Trace sink collecting this system's records (null if disabled). */
     obs::TraceSink *traceSink() const { return traceSink_.get(); }
@@ -239,7 +245,15 @@ class MultiGpuSystem : public workloads::PlacementDirectory
         std::unique_ptr<vm::Tlb> l2Tlb;
         std::unique_ptr<vm::Gmmu> gmmu;
         std::vector<std::unique_ptr<ComputeUnit>> cus;
-        std::deque<WaveDesc> pendingWaves;
+        sim::RingQueue<WaveDesc> pendingWaves;
+    };
+
+    /** An L1 fill or write-through awaiting its response packet. */
+    struct FillRecord
+    {
+        mem::FillRequest req;
+        Tick issuedAt = 0;
+        bool interCluster = false;
     };
 
     /**
@@ -251,10 +265,11 @@ class MultiGpuSystem : public workloads::PlacementDirectory
      */
     struct GpuLocal
     {
-        /** request packet id -> response continuation. */
-        std::unordered_map<std::uint64_t,
-                           std::function<void(const noc::Packet &)>>
-            outstanding;
+        /** Request packet id -> the L1 fill its response completes. */
+        sim::FlatMap<std::uint64_t, FillRecord> fills;
+
+        /** Request packet id -> the page walk its response resumes. */
+        sim::FlatMap<std::uint64_t, sim::SmallFn> pteFetches;
 
         stats::Average interReadLatency;
         stats::Distribution remoteReadBytes{
@@ -303,9 +318,8 @@ class MultiGpuSystem : public workloads::PlacementDirectory
      * response must ride the flit path too.
      */
     bool trySendResponseOnFlowLane(noc::PacketPtr &rsp);
-    void l1Fill(GpuId g, mem::FillRequest req);
-    void fetchPte(GpuId g, const vm::WalkStep &step,
-                  std::function<void()> done);
+    void l1Fill(GpuId g, const mem::FillRequest &req);
+    void fetchPte(GpuId g, const vm::WalkStep &step, sim::SmallFn done);
     mem::SectorMask fullL1Mask() const;
     mem::SectorMask maskForRange(std::uint32_t offset,
                                  std::uint32_t bytes) const;
@@ -318,6 +332,9 @@ class MultiGpuSystem : public workloads::PlacementDirectory
 
     config::SystemConfig cfg_;
     flow::Fidelity fidelity_ = flow::Fidelity::Cycle;
+
+    /** How the most recent runFor() ended (gates the drained census). */
+    sim::RunStatus lastRunStatus_ = sim::RunStatus::Drained;
 
     /**
      * Declared before every component so it outlives them all; the

@@ -9,10 +9,10 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 
 #include "src/obs/trace_buffer.hh"
 #include "src/sim/sim_object.hh"
+#include "src/sim/small_fn.hh"
 
 namespace netcrafter::mem {
 
@@ -20,7 +20,7 @@ namespace netcrafter::mem {
 class Dram : public sim::SimObject
 {
   public:
-    using Callback = std::function<void()>;
+    using Callback = sim::SmallFn;
 
     Dram(sim::Engine &engine, std::string name, Tick latency,
          std::uint32_t bytes_per_cycle)

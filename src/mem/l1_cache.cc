@@ -2,6 +2,15 @@
 
 namespace netcrafter::mem {
 
+void
+FillRequest::complete(SectorMask filled) const
+{
+    if (isWrite)
+        requester->writeAcked();
+    else
+        requester->fillArrived(line, filled);
+}
+
 L1Cache::L1Cache(sim::Engine &engine, std::string name,
                  const L1Params &params, FillFn below)
     : SimObject(engine, std::move(name)), params_(params),
@@ -14,52 +23,42 @@ L1Cache::L1Cache(sim::Engine &engine, std::string name,
 
 bool
 L1Cache::access(Addr line, std::uint32_t offset, std::uint32_t bytes,
-                bool is_write, Callback done)
+                bool is_write, Callback &&done)
 {
     NC_ASSERT(line % kCacheLineBytes == 0, "unaligned line address");
 
     if (is_write) {
         // Write-through, no-allocate: forward below; the slot bounds
         // outstanding writes. The wavefront does not wait for the ack.
+        NC_ASSERT(!done, "L1 writes complete at acceptance");
         if (mshr_.size() + outstandingWrites_ >= mshr_.capacity()) {
             ++rejections_;
             return false;
         }
         ++writeAccesses_;
         ++outstandingWrites_;
-        if (tags_.present(line))
-            tags_.touch(line); // data updated in place
-        FillRequest req;
-        req.line = line;
-        req.offset = offset;
-        req.bytes = bytes;
-        req.isWrite = true;
-        req.done = [this, done = std::move(done)](SectorMask) {
-            NC_ASSERT(outstandingWrites_ > 0, "write ack underflow");
-            --outstandingWrites_;
-            if (onUnblock_)
-                onUnblock_();
-            if (done)
-                done();
-        };
-        below_(std::move(req));
+        ++version_;
+        const std::uint32_t way = tags_.find(line);
+        if (way != TagArray::kNoWay)
+            tags_.touchWay(way); // data updated in place
+        below_(FillRequest{line, offset, bytes, 0, true, this});
         return true;
     }
 
     ++readAccesses_;
     const SectorMask needed = tags_.sectorsForRange(offset, bytes);
-
-    if (tags_.covers(line, needed)) {
+    const std::uint32_t way = tags_.find(line);
+    if (way != TagArray::kNoWay && (tags_.sectors(way) & needed) == needed) {
         ++readHits_;
-        tags_.touch(line);
+        tags_.touchWay(way);
         schedule(params_.lookupLatency, std::move(done));
         return true;
     }
 
     ++readMisses_;
-    Waiter waiter{needed, offset, bytes, std::move(done)};
     if (mshr_.outstanding(line)) {
-        mshr_.merge(line, std::move(waiter));
+        mshr_.merge(line, Waiter{needed, offset, bytes, std::move(done)});
+        ++version_;
         return true;
     }
     if (mshr_.size() + outstandingWrites_ >= mshr_.capacity()) {
@@ -68,60 +67,64 @@ L1Cache::access(Addr line, std::uint32_t offset, std::uint32_t bytes,
         ++rejections_;
         return false;
     }
-    mshr_.allocate(line, std::move(waiter));
+    mshr_.allocate(line, Waiter{needed, offset, bytes, std::move(done)});
+    ++version_;
 
-    // The lookup pipeline ran before the miss went below. The
-    // FillRequest is built inside the callback: capturing it by value
-    // (it embeds a std::function) would overflow SmallFn's inline
-    // buffer and put a heap allocation back on the miss path.
+    // The lookup pipeline ran before the miss went below.
     schedule(params_.lookupLatency, [this, line, offset, bytes, needed] {
-        FillRequest req;
-        req.line = line;
-        req.offset = offset;
-        req.bytes = bytes;
-        req.neededSectors = needed;
-        req.isWrite = false;
-        req.done = [this, line](SectorMask filled) {
-            handleFill(line, filled);
-        };
-        below_(std::move(req));
+        below_(FillRequest{line, offset, bytes, needed, false, this});
     });
     return true;
 }
 
 void
-L1Cache::handleFill(Addr line, SectorMask filled)
+L1Cache::writeAcked()
+{
+    NC_ASSERT(outstandingWrites_ > 0, "write ack underflow");
+    --outstandingWrites_;
+    ++version_;
+    if (onUnblock_)
+        onUnblock_();
+}
+
+void
+L1Cache::fillArrived(Addr line, SectorMask filled)
 {
     NC_ASSERT(filled != 0, "fill delivered no sectors");
     tags_.fill(line, filled);
     auto waiters = mshr_.release(line);
+    ++version_;
     if (onUnblock_)
         onUnblock_();
-    for (auto &w : waiters) {
+    Waiter w;
+    while (mshr_.next(waiters, w)) {
         if (tags_.covers(line, w.needed)) {
             w.done();
         } else {
             // The fill (e.g. a trimmed sector for the primary miss) does
             // not cover this merged waiter: replay its access.
-            retryAccess(line, w);
+            retryAccess(line, std::move(w));
         }
     }
 }
 
 void
-L1Cache::retryAccess(Addr line, const Waiter &waiter)
+L1Cache::retryAccess(Addr line, Waiter waiter)
 {
     // Replay next cycle; if the MSHR is full the retry loops until a
-    // slot frees. Copy what we need from the waiter.
-    auto offset = waiter.offset;
-    auto bytes = waiter.bytes;
-    auto done = waiter.done;
-    schedule(1, [this, line, offset, bytes, done]() mutable {
-        if (!access(line, offset, bytes, false, done)) {
-            Waiter retry{0, offset, bytes, std::move(done)};
-            retryAccess(line, retry);
-        }
-    });
+    // slot frees.
+    retries_.push_back(Retry{line, std::move(waiter)});
+    schedule(1, [this] { replayRetry(); });
+}
+
+void
+L1Cache::replayRetry()
+{
+    Retry r = std::move(retries_.front());
+    retries_.pop_front();
+    if (!access(r.line, r.waiter.offset, r.waiter.bytes, false,
+                std::move(r.waiter.done)))
+        retryAccess(r.line, std::move(r.waiter));
 }
 
 } // namespace netcrafter::mem

@@ -15,9 +15,13 @@
 
 #include "src/mem/mshr.hh"
 #include "src/mem/tag_array.hh"
+#include "src/sim/ring_queue.hh"
 #include "src/sim/sim_object.hh"
+#include "src/sim/small_fn.hh"
 
 namespace netcrafter::mem {
+
+class L1Cache;
 
 /** Configuration for one L1 vector cache. */
 struct L1Params
@@ -31,7 +35,12 @@ struct L1Params
     std::uint32_t sectorBytes = kCacheLineBytes;
 };
 
-/** A miss forwarded below the L1 (to the local L2 or a remote GPU). */
+/**
+ * A miss (or write-through) forwarded below the L1, to the local L2 or
+ * a remote GPU. A plain value: the completion is a record naming the
+ * requesting L1, so whoever holds the request until it is served stores
+ * no callable.
+ */
 struct FillRequest
 {
     Addr line = 0;
@@ -47,11 +56,14 @@ struct FillRequest
 
     bool isWrite = false;
 
+    /** The L1 the fill or write ack returns to. */
+    L1Cache *requester = nullptr;
+
     /**
-     * Completion: @p filled is the sector mask actually delivered
-     * (ignored for writes). Must be invoked exactly once.
+     * Deliver the completion: @p filled is the sector mask actually
+     * delivered (ignored for writes). Must be called exactly once.
      */
-    std::function<void(SectorMask filled)> done;
+    void complete(SectorMask filled) const;
 };
 
 /**
@@ -61,7 +73,7 @@ struct FillRequest
 class L1Cache : public sim::SimObject
 {
   public:
-    using Callback = std::function<void()>;
+    using Callback = sim::SmallFn;
     using FillFn = std::function<void(FillRequest)>;
 
     L1Cache(sim::Engine &engine, std::string name, const L1Params &params,
@@ -71,12 +83,29 @@ class L1Cache : public sim::SimObject
      * Issue a coalesced access to @p line needing the byte span
      * [@p offset, @p offset + @p bytes). Reads call @p done when the
      * data is in the cache; writes complete (for the wavefront) at
-     * acceptance — the write-through ack only frees the tracking slot.
+     * acceptance and take an empty @p done — the write-through ack only
+     * frees the tracking slot. @p done is consumed only when the access
+     * is accepted.
      *
      * @return false when no MSHR/write slot is available (retry later).
      */
     bool access(Addr line, std::uint32_t offset, std::uint32_t bytes,
-                bool is_write, Callback done);
+                bool is_write, Callback &&done);
+
+    /**
+     * Version of the state access() decides acceptance from: bumped on
+     * every tag fill, MSHR allocate/merge/release and write-slot
+     * take/return. An access rejected at version v is rejected again
+     * for as long as the version stays v, which lets the CU re-poll a
+     * full L1 without repeating the lookup (see countRejection()).
+     */
+    std::uint64_t stateVersion() const { return version_; }
+
+    /**
+     * Record a rejection decided without a lookup: the caller saw the
+     * same access rejected at the current stateVersion().
+     */
+    void countRejection() { ++rejections_; }
 
     /**
      * Install a hook invoked whenever an MSHR or write slot frees (a
@@ -92,20 +121,35 @@ class L1Cache : public sim::SimObject
     std::uint64_t writeAccesses() const { return writeAccesses_; }
     std::uint64_t rejections() const { return rejections_; }
 
-    /** Misses per kilo "accesses" need instruction counts; the CU owns
-     *  those, so it reads raw miss counts from here. */
+    /** Misses, write-throughs and replays still in flight (census). */
+    std::size_t
+    inFlight() const
+    {
+        return mshr_.size() + outstandingWrites_ + retries_.size();
+    }
 
   private:
+    friend struct FillRequest;
+
     struct Waiter
     {
-        SectorMask needed;
-        std::uint32_t offset;
-        std::uint32_t bytes;
+        SectorMask needed = 0;
+        std::uint32_t offset = 0;
+        std::uint32_t bytes = 0;
         Callback done;
     };
 
-    void handleFill(Addr line, SectorMask filled);
-    void retryAccess(Addr line, const Waiter &waiter);
+    /** A merged waiter the fill did not cover, replayed next cycle. */
+    struct Retry
+    {
+        Addr line = 0;
+        Waiter waiter;
+    };
+
+    void fillArrived(Addr line, SectorMask filled);
+    void writeAcked();
+    void retryAccess(Addr line, Waiter waiter);
+    void replayRetry();
 
     L1Params params_;
     TagArray tags_;
@@ -113,6 +157,13 @@ class L1Cache : public sim::SimObject
     Mshr<Waiter> mshr_;
     std::size_t outstandingWrites_ = 0;
     Callback onUnblock_;
+
+    /**
+     * Pending replays, in schedule order. Every replay event fires one
+     * cycle after it was scheduled, so events and entries pair up FIFO.
+     */
+    sim::RingQueue<Retry> retries_;
+    std::uint64_t version_ = 0;
 
     std::uint64_t readAccesses_ = 0;
     std::uint64_t readHits_ = 0;

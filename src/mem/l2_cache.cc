@@ -49,11 +49,12 @@ L2Cache::start(Addr line, bool is_write, Callback done)
                     traceLane_, line, is_write ? 1 : 0);
     const Tick ready = bankReadyTime(line) + params_.lookupLatency;
 
-    if (tags_.present(line)) {
+    const std::uint32_t way = tags_.find(line);
+    if (way != TagArray::kNoWay) {
         ++hits_;
-        tags_.touch(line);
+        tags_.touchWay(way);
         if (is_write)
-            tags_.markDirty(line);
+            tags_.markDirtyWay(way);
         engine().scheduleAbs(ready, std::move(done));
         return;
     }
@@ -69,7 +70,7 @@ L2Cache::start(Addr line, bool is_write, Callback done)
     }
     if (mshr_.full()) {
         ++mshrStalls_;
-        parked_.emplace_back(line, std::move(waiter));
+        parked_.push_back(Parked{line, std::move(waiter)});
         return;
     }
     mshr_.allocate(line, std::move(waiter));
@@ -92,7 +93,8 @@ L2Cache::finishFill(Addr line)
         dram_.access(kCacheLineBytes, nullptr);
     }
     auto waiters = mshr_.release(line);
-    for (auto &w : waiters) {
+    Waiter w;
+    while (mshr_.next(waiters, w)) {
         if (w.isWrite)
             tags_.markDirty(line);
         w.done();
@@ -109,9 +111,9 @@ L2Cache::drainParked()
     while (n-- > 0 && !parked_.empty()) {
         if (mshr_.full())
             break;
-        auto [line, waiter] = std::move(parked_.front());
+        Parked p = std::move(parked_.front());
         parked_.pop_front();
-        start(line, waiter.isWrite, std::move(waiter.done));
+        start(p.line, p.waiter.isWrite, std::move(p.waiter.done));
     }
 }
 

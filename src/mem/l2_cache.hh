@@ -10,13 +10,13 @@
 #define NETCRAFTER_MEM_L2_CACHE_HH
 
 #include <cstdint>
-#include <deque>
-#include <functional>
 
 #include "src/mem/dram.hh"
 #include "src/mem/mshr.hh"
 #include "src/mem/tag_array.hh"
+#include "src/sim/ring_queue.hh"
 #include "src/sim/sim_object.hh"
+#include "src/sim/small_fn.hh"
 
 namespace netcrafter::mem {
 
@@ -38,7 +38,7 @@ struct L2Params
 class L2Cache : public sim::SimObject
 {
   public:
-    using Callback = std::function<void()>;
+    using Callback = sim::SmallFn;
 
     L2Cache(sim::Engine &engine, std::string name, const L2Params &params,
             Dram &dram);
@@ -60,11 +60,20 @@ class L2Cache : public sim::SimObject
     /** Accesses parked because the MSHR file was full. */
     std::uint64_t mshrStalls() const { return mshrStalls_; }
 
+    /** Misses outstanding plus accesses parked on a full MSHR file. */
+    std::size_t inFlight() const { return mshr_.size() + parked_.size(); }
+
   private:
     struct Waiter
     {
-        bool isWrite;
+        bool isWrite = false;
         Callback done;
+    };
+
+    struct Parked
+    {
+        Addr line = 0;
+        Waiter waiter;
     };
 
     void start(Addr line, bool is_write, Callback done);
@@ -77,7 +86,7 @@ class L2Cache : public sim::SimObject
     Dram &dram_;
     Mshr<Waiter> mshr_;
     std::vector<Tick> bankNextFree_;
-    std::deque<std::pair<Addr, Waiter>> parked_;
+    sim::RingQueue<Parked> parked_;
 
     std::uint64_t accesses_ = 0;
     std::uint64_t hits_ = 0;

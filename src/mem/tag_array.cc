@@ -11,121 +11,115 @@ TagArray::TagArray(std::uint64_t size_bytes, std::uint32_t assoc,
 {
     NC_ASSERT(sector_bytes > 0 && line_bytes % sector_bytes == 0,
               "sector size must divide line size");
+    NC_ASSERT(assoc_ > 0 && assoc_ <= 255,
+              "associativity must be 1..255: ", assoc_);
     const std::uint64_t lines = size_bytes / line_bytes;
     NC_ASSERT(lines >= assoc_, "cache smaller than one set");
     numSets_ = static_cast<std::uint32_t>(lines / assoc_);
     NC_ASSERT(numSets_ > 0, "cache must have at least one set");
-    ways_.resize(static_cast<std::size_t>(numSets_) * assoc_);
+    const std::size_t ways = static_cast<std::size_t>(numSets_) * assoc_;
+    tags_.assign(ways, kAddrInvalid);
+    valid_.assign(ways, 0);
+    rank_.assign(ways, 0);
+    dirty_.assign(ways, 0);
 }
 
-std::uint32_t
-TagArray::setOf(Addr line) const
+void
+TagArray::touchWay(std::uint32_t way)
 {
-    return static_cast<std::uint32_t>((line / lineBytes_) % numSets_);
-}
-
-const TagArray::Way *
-TagArray::findWay(Addr line) const
-{
-    const std::size_t base =
-        static_cast<std::size_t>(setOf(line)) * assoc_;
-    for (std::uint32_t w = 0; w < assoc_; ++w) {
-        const Way &way = ways_[base + w];
-        if (way.valid != 0 && way.line == line)
-            return &way;
+    // Ranks of invalid ways are never read, so they may drift freely.
+    const std::uint8_t r = rank_[way];
+    if (r == 0)
+        return; // already the most recent
+    const std::uint32_t base = way - way % assoc_;
+    for (std::uint32_t w = base; w < base + assoc_; ++w) {
+        if (rank_[w] < r)
+            ++rank_[w];
     }
-    return nullptr;
-}
-
-TagArray::Way *
-TagArray::findWay(Addr line)
-{
-    return const_cast<Way *>(
-        static_cast<const TagArray *>(this)->findWay(line));
-}
-
-bool
-TagArray::present(Addr line) const
-{
-    return findWay(line) != nullptr;
+    rank_[way] = 0;
 }
 
 SectorMask
 TagArray::validSectors(Addr line) const
 {
-    const Way *way = findWay(line);
-    return way ? way->valid : 0;
-}
-
-bool
-TagArray::covers(Addr line, SectorMask needed) const
-{
-    return (validSectors(line) & needed) == needed;
+    const std::uint32_t way = find(line);
+    return way == kNoWay ? 0 : valid_[way];
 }
 
 Eviction
 TagArray::fill(Addr line, SectorMask mask)
 {
     NC_ASSERT(mask != 0, "fill with empty sector mask");
+    NC_ASSERT(line != kAddrInvalid, "fill of the invalid address");
     ++fills_;
-    ++useClock_;
-    if (Way *way = findWay(line)) {
-        way->valid |= mask;
-        way->lastUse = useClock_;
-        return Eviction{};
-    }
-
-    const std::size_t base =
-        static_cast<std::size_t>(setOf(line)) * assoc_;
-    Way *victim = &ways_[base];
-    for (std::uint32_t w = 0; w < assoc_; ++w) {
-        Way &way = ways_[base + w];
-        if (way.valid == 0) {
-            victim = &way;
-            break;
+    const std::uint32_t base = setOf(line) * assoc_;
+    std::uint32_t empty = kNoWay;
+    for (std::uint32_t w = base; w < base + assoc_; ++w) {
+        if (tags_[w] == line) {
+            valid_[w] |= mask;
+            touchWay(w);
+            return Eviction{};
         }
-        if (way.lastUse < victim->lastUse)
-            victim = &way;
+        if (empty == kNoWay && tags_[w] == kAddrInvalid)
+            empty = w;
     }
 
     Eviction ev;
-    if (victim->valid != 0) {
+    std::uint32_t victim = empty;
+    if (victim == kNoWay) {
+        // Full set: the valid ranks are 0..assoc-1; evict the oldest.
+        victim = base;
+        for (std::uint32_t w = base; w < base + assoc_; ++w) {
+            if (rank_[w] > rank_[victim])
+                victim = w;
+        }
         ev.valid = true;
-        ev.line = victim->line;
-        ev.dirty = victim->dirty;
+        ev.line = tags_[victim];
+        ev.dirty = dirty_[victim] != 0;
         ++evictions_;
     }
-    victim->line = line;
-    victim->valid = mask;
-    victim->dirty = false;
-    victim->lastUse = useClock_;
+    // The new line becomes most recent: every other way ages by one.
+    for (std::uint32_t w = base; w < base + assoc_; ++w)
+        ++rank_[w];
+    rank_[victim] = 0;
+    tags_[victim] = line;
+    valid_[victim] = mask;
+    dirty_[victim] = 0;
     return ev;
 }
 
 void
 TagArray::touch(Addr line)
 {
-    if (Way *way = findWay(line))
-        way->lastUse = ++useClock_;
+    const std::uint32_t way = find(line);
+    if (way != kNoWay)
+        touchWay(way);
 }
 
 void
 TagArray::markDirty(Addr line)
 {
-    if (Way *way = findWay(line))
-        way->dirty = true;
+    const std::uint32_t way = find(line);
+    if (way != kNoWay)
+        dirty_[way] = 1;
 }
 
 bool
 TagArray::invalidate(Addr line)
 {
-    if (Way *way = findWay(line)) {
-        way->valid = 0;
-        way->dirty = false;
-        way->line = kAddrInvalid;
-        return true;
+    const std::uint32_t way = find(line);
+    if (way == kNoWay)
+        return false;
+    // Close the rank gap so the valid ways keep ranks 0..k-1.
+    const std::uint32_t base = way - way % assoc_;
+    for (std::uint32_t w = base; w < base + assoc_; ++w) {
+        if (rank_[w] > rank_[way])
+            --rank_[w];
     }
-    return false;
+    tags_[way] = kAddrInvalid;
+    valid_[way] = 0;
+    dirty_[way] = 0;
+    return true;
 }
 
 SectorMask

@@ -21,25 +21,9 @@ makeFlit(const Flit &other)
 std::vector<FlitPtr>
 segmentPacket(const PacketPtr &pkt, std::uint32_t flit_bytes)
 {
-    NC_ASSERT(flit_bytes > 0, "flit size must be positive");
-    const std::uint32_t total = pkt->totalBytes();
-    const std::uint32_t n = flitsForBytes(total, flit_bytes);
-
     std::vector<FlitPtr> flits;
-    flits.reserve(n);
-    std::uint32_t remaining = total;
-    for (std::uint32_t i = 0; i < n; ++i) {
-        FlitPtr flit = makeFlit();
-        flit->pkt = pkt;
-        flit->seq = i;
-        flit->numFlits = n;
-        flit->capacity = static_cast<std::uint16_t>(flit_bytes);
-        flit->occupiedBytes = static_cast<std::uint16_t>(
-            remaining >= flit_bytes ? flit_bytes : remaining);
-        remaining -= flit->occupiedBytes;
-        flits.push_back(std::move(flit));
-    }
-    NC_ASSERT(remaining == 0, "segmentation lost bytes");
+    segmentPacket(pkt, flit_bytes,
+                  [&](FlitPtr f) { flits.push_back(std::move(f)); });
     return flits;
 }
 

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "src/noc/packet.hh"
+#include "src/sim/logging.hh"
 #include "src/sim/pool.hh"
 #include "src/sim/types.hh"
 
@@ -72,6 +73,15 @@ struct StitchedPiece
  */
 struct Flit : sim::PoolRefCount
 {
+    /**
+     * Room for the pieces a 16-byte flit can carry (each piece takes at
+     * least 4 wire bytes), reserved once per pooled node so stitching
+     * never allocates in steady state.
+     */
+    static constexpr std::size_t kReservedPieces = 3;
+
+    Flit() { stitched.reserve(kReservedPieces); }
+
     /** Parent packet. */
     PacketPtr pkt;
 
@@ -171,14 +181,6 @@ FlitPtr makeFlit();
 /** Acquire a flit initialised as a copy of @p other's payload. */
 FlitPtr makeFlit(const Flit &other);
 
-/**
- * Segment @p pkt into flits of @p flit_bytes each. The head flit carries
- * the header and the first payload bytes; the tail flit may be partly
- * empty (padded) when totalBytes() is not a multiple of the flit size.
- */
-std::vector<FlitPtr> segmentPacket(const PacketPtr &pkt,
-                                   std::uint32_t flit_bytes);
-
 /** Number of flits @p total_bytes occupy at @p flit_bytes granularity. */
 constexpr std::uint32_t
 flitsForBytes(std::uint32_t total_bytes, std::uint32_t flit_bytes)
@@ -188,6 +190,38 @@ flitsForBytes(std::uint32_t total_bytes, std::uint32_t flit_bytes)
                : static_cast<std::uint32_t>(
                      divCeil(total_bytes, flit_bytes));
 }
+
+/**
+ * Segment @p pkt into flits of @p flit_bytes each, handing them to
+ * @p sink (a callable taking FlitPtr) in order. The head flit carries
+ * the header and the first payload bytes; the tail flit may be partly
+ * empty (padded) when totalBytes() is not a multiple of the flit size.
+ */
+template <typename Sink>
+void
+segmentPacket(const PacketPtr &pkt, std::uint32_t flit_bytes, Sink &&sink)
+{
+    NC_ASSERT(flit_bytes > 0, "flit size must be positive");
+    const std::uint32_t total = pkt->totalBytes();
+    const std::uint32_t n = flitsForBytes(total, flit_bytes);
+    std::uint32_t remaining = total;
+    for (std::uint32_t i = 0; i < n; ++i) {
+        FlitPtr flit = makeFlit();
+        flit->pkt = pkt;
+        flit->seq = i;
+        flit->numFlits = n;
+        flit->capacity = static_cast<std::uint16_t>(flit_bytes);
+        flit->occupiedBytes = static_cast<std::uint16_t>(
+            remaining >= flit_bytes ? flit_bytes : remaining);
+        remaining -= flit->occupiedBytes;
+        sink(std::move(flit));
+    }
+    NC_ASSERT(remaining == 0, "segmentation lost bytes");
+}
+
+/** segmentPacket() collected into a vector (tests and tools). */
+std::vector<FlitPtr> segmentPacket(const PacketPtr &pkt,
+                                   std::uint32_t flit_bytes);
 
 } // namespace netcrafter::noc
 

@@ -9,11 +9,11 @@
 #define NETCRAFTER_NOC_FLIT_BUFFER_HH
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 
 #include "src/noc/flit.hh"
 #include "src/sim/logging.hh"
+#include "src/sim/ring_queue.hh"
 
 namespace netcrafter::noc {
 
@@ -77,7 +77,7 @@ class FlitBuffer
 
   private:
     std::size_t capacity_;
-    std::deque<FlitPtr> q_;
+    sim::RingQueue<FlitPtr> q_;
     std::function<void()> onPush_;
     std::function<void()> onPop_;
     std::uint64_t pushes_ = 0;

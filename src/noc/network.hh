@@ -71,6 +71,7 @@ class Network : public sim::SimObject
 
     /** The RDMA endpoint of GPU @p gpu. */
     RdmaEngine &rdma(GpuId gpu) { return *rdmas_.at(gpu); }
+    const RdmaEngine &rdma(GpuId gpu) const { return *rdmas_.at(gpu); }
 
     /** Cluster switch @p cluster. */
     Switch &clusterSwitch(ClusterId cluster)

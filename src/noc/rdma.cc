@@ -31,8 +31,9 @@ RdmaEngine::sendPacket(PacketPtr pkt)
                     obs::TraceKind::PktStage, obs::TraceStage::RdmaInject,
                     traceLane_, pkt->id, pkt->totalBytes(),
                     static_cast<std::uint32_t>(pkt->type));
-    for (auto &flit : segmentPacket(pkt, flitBytes_))
+    segmentPacket(pkt, flitBytes_, [this](FlitPtr flit) {
         sendQueue_.push_back(std::move(flit));
+    });
     txWake_.notify();
 }
 

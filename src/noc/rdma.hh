@@ -9,11 +9,11 @@
 #define NETCRAFTER_NOC_RDMA_HH
 
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <unordered_map>
 
 #include "src/noc/flit_buffer.hh"
+#include "src/sim/flat_map.hh"
+#include "src/sim/ring_queue.hh"
 #include "src/sim/self_scheduling.hh"
 #include "src/sim/sim_object.hh"
 
@@ -74,6 +74,9 @@ class RdmaEngine : public sim::SimObject
     /** Outgoing packets not yet fully pushed into the TX buffer. */
     std::size_t sendQueueDepth() const { return sendQueue_.size(); }
 
+    /** Packets partly reassembled (census: 0 after a drained run). */
+    std::size_t reassemblyInFlight() const { return reassembly_.size(); }
+
   private:
     void pumpTx();
     void pumpRx();
@@ -86,12 +89,12 @@ class RdmaEngine : public sim::SimObject
     PacketHandler responseHandler_;
 
     /** Flits of queued packets awaiting TX buffer space, in order. */
-    std::deque<FlitPtr> sendQueue_;
+    sim::RingQueue<FlitPtr> sendQueue_;
     sim::SelfScheduling<RdmaEngine, &RdmaEngine::pumpTx> txWake_;
     sim::SelfScheduling<RdmaEngine, &RdmaEngine::pumpRx> rxWake_;
 
     /** packet id -> bytes received so far, for reassembly. */
-    std::unordered_map<std::uint64_t, std::uint32_t> reassembly_;
+    sim::FlatMap<std::uint64_t, std::uint32_t> reassembly_;
 
     std::uint64_t packetsSent_ = 0;
     std::uint64_t packetsReceived_ = 0;

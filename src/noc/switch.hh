@@ -16,12 +16,11 @@
 #define NETCRAFTER_NOC_SWITCH_HH
 
 #include <cstdint>
-#include <deque>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "src/noc/flit_buffer.hh"
+#include "src/sim/ring_queue.hh"
 #include "src/sim/self_scheduling.hh"
 #include "src/sim/sim_object.hh"
 
@@ -111,7 +110,7 @@ class Switch : public sim::SimObject
     struct PipelineEntry
     {
         FlitPtr flit;
-        Tick readyAt;
+        Tick readyAt = 0;
     };
 
     struct Port
@@ -119,7 +118,7 @@ class Switch : public sim::SimObject
         std::uint32_t speed = 1;
         std::unique_ptr<FlitBuffer> in;
         std::unique_ptr<FlitBuffer> out;
-        std::deque<PipelineEntry> pipeline;
+        sim::RingQueue<PipelineEntry> pipeline;
         IngressProcessor *ingress = nullptr;
         EgressProcessor *egress = nullptr;
 
@@ -131,8 +130,19 @@ class Switch : public sim::SimObject
     bool hasWork() const;
 
     SwitchParams params_;
+    static constexpr std::size_t kNoRoute = ~std::size_t{0};
+
     std::vector<Port> ports_;
-    std::unordered_map<GpuId, std::size_t> routes_;
+
+    /** Output port per destination GPU (kNoRoute when unrouted). */
+    std::vector<std::size_t> routes_;
+
+    /** Crossbar ejection rate: the fastest port's line rate. */
+    std::uint32_t crossbarRate_ = 1;
+
+    /** Per-cycle scratch, reused: output budgets and ingress output. */
+    std::vector<std::uint32_t> outBudget_;
+    std::vector<FlitPtr> expanded_;
     sim::SelfScheduling<Switch, &Switch::cycle> wake_;
     Tick lastCycleTick_ = kTickNever;
     Tick pendingLongWake_ = 0;

@@ -5,18 +5,25 @@
 
 namespace netcrafter::vm {
 
+std::size_t
+PageWalkCache::slotOf(Addr key) const
+{
+    std::size_t i = 0;
+    while (i < keys_.size() && keys_[i] != key)
+        ++i;
+    return i;
+}
+
 int
 PageWalkCache::deepestMatch(Addr vaddr)
 {
     ++lookups_;
     for (int level = kPageTableLevels - 1; level >= 1; --level) {
-        auto it = map_.find(key(level, vaddr));
-        if (it != map_.end()) {
+        const std::size_t i = slotOf(key(level, vaddr));
+        if (i < keys_.size()) {
             ++hits_;
             // Refresh recency: a matching entry is hot.
-            lru_.erase(it->second);
-            lru_.push_front(it->first);
-            it->second = lru_.begin();
+            lastUse_[i] = ++useClock_;
             return level;
         }
     }
@@ -27,19 +34,22 @@ void
 PageWalkCache::insert(int level, Addr vaddr)
 {
     const Addr k = key(level, vaddr);
-    auto it = map_.find(k);
-    if (it != map_.end()) {
-        lru_.erase(it->second);
-        lru_.push_front(k);
-        it->second = lru_.begin();
-        return;
+    std::size_t i = slotOf(k);
+    if (i == keys_.size()) {
+        if (keys_.size() < entries_) {
+            keys_.push_back(k);
+            lastUse_.push_back(0);
+        } else {
+            // Full: replace the least recently used entry.
+            i = 0;
+            for (std::size_t j = 1; j < keys_.size(); ++j) {
+                if (lastUse_[j] < lastUse_[i])
+                    i = j;
+            }
+            keys_[i] = k;
+        }
     }
-    if (map_.size() >= entries_) {
-        map_.erase(lru_.back());
-        lru_.pop_back();
-    }
-    lru_.push_front(k);
-    map_[k] = lru_.begin();
+    lastUse_[i] = ++useClock_;
 }
 
 Gmmu::Gmmu(sim::Engine &engine, std::string name,
@@ -56,12 +66,8 @@ Gmmu::Gmmu(sim::Engine &engine, std::string name,
 void
 Gmmu::walk(Addr vpn, Callback done)
 {
-    auto it = waiters_.find(vpn);
-    if (it != waiters_.end()) {
-        it->second.push_back(std::move(done));
-        return;
-    }
-    waiters_[vpn].push_back(std::move(done));
+    if (!waiters_.add(vpn, std::move(done)))
+        return; // joins the walk already queued or running
     queued_.push_back(vpn);
     ++walksStarted_;
     obs::tracepoint(engine(), obs::TraceLevel::Links,
@@ -113,13 +119,11 @@ Gmmu::finishWalk(Addr vpn)
                     traceLane_, vpn);
     Translation t;
     t.owner = pageTable_.dataOwner(vpn * kPageBytes);
-    auto it = waiters_.find(vpn);
-    NC_ASSERT(it != waiters_.end(), "walk finished with no waiters");
-    auto waiters = std::move(it->second);
-    waiters_.erase(it);
+    auto waiters = waiters_.take(vpn);
     NC_ASSERT(activeWalkers_ > 0, "walker underflow");
     --activeWalkers_;
-    for (auto &done : waiters)
+    Callback done;
+    while (waiters_.pop(waiters, done))
         done(t);
     beginNextWalk();
 }

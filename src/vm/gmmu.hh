@@ -12,12 +12,13 @@
 #define NETCRAFTER_VM_GMMU_HH
 
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <list>
-#include <unordered_map>
+#include <vector>
 
+#include "src/sim/ring_queue.hh"
 #include "src/sim/sim_object.hh"
+#include "src/sim/small_fn.hh"
+#include "src/sim/waiter_table.hh"
 #include "src/vm/page_table.hh"
 #include "src/vm/tlb.hh"
 
@@ -31,11 +32,19 @@ struct GmmuParams
     std::uint32_t walkers = 16;
 };
 
-/** Small fully-associative LRU cache of upper-level PTEs. */
+/**
+ * Small fully-associative LRU cache of upper-level PTEs: a fixed array
+ * of tags with per-entry last-use stamps (the PWC holds a few dozen
+ * entries, so a linear scan beats any index).
+ */
 class PageWalkCache
 {
   public:
-    explicit PageWalkCache(std::uint32_t entries) : entries_(entries) {}
+    explicit PageWalkCache(std::uint32_t entries) : entries_(entries)
+    {
+        keys_.reserve(entries);
+        lastUse_.reserve(entries);
+    }
 
     /**
      * Deepest level in {1..3} whose entry for @p vaddr is cached such
@@ -59,10 +68,15 @@ class PageWalkCache
                PageTable::prefix(level, vaddr);
     }
 
+    /** Index of @p key, or keys_.size() when absent. */
+    std::size_t slotOf(Addr key) const;
+
     std::uint32_t entries_;
-    // LRU list front = most recent; map for O(1) lookup.
-    std::list<Addr> lru_;
-    std::unordered_map<Addr, std::list<Addr>::iterator> map_;
+
+    /** Cached keys; the array fills up to entries_, then recycles. */
+    std::vector<Addr> keys_;
+    std::vector<std::uint64_t> lastUse_;
+    std::uint64_t useClock_ = 0;
     mutable std::uint64_t hits_ = 0;
     mutable std::uint64_t lookups_ = 0;
 };
@@ -71,7 +85,7 @@ class PageWalkCache
 class Gmmu : public sim::SimObject
 {
   public:
-    using Callback = std::function<void(Translation)>;
+    using Callback = Tlb::Callback;
 
     /**
      * Fetches one PTE (a memory read of the line holding it) and calls
@@ -79,7 +93,7 @@ class Gmmu : public sim::SimObject
      * concern.
      */
     using PteFetchFn =
-        std::function<void(const WalkStep &, std::function<void()>)>;
+        std::function<void(const WalkStep &, sim::SmallFn done)>;
 
     Gmmu(sim::Engine &engine, std::string name, const GmmuParams &params,
          const PageTable &page_table, PteFetchFn fetch);
@@ -93,6 +107,9 @@ class Gmmu : public sim::SimObject
     std::uint64_t walksStarted() const { return walksStarted_; }
     std::uint64_t pteFetches() const { return pteFetches_; }
     const PageWalkCache &pwc() const { return pwc_; }
+
+    /** Translations waiting on walks, queued or running (census). */
+    std::size_t inFlight() const { return waiters_.size(); }
 
     /** Mean PTE fetches per completed walk. */
     double
@@ -113,8 +130,8 @@ class Gmmu : public sim::SimObject
     PteFetchFn fetch_;
     PageWalkCache pwc_;
 
-    std::unordered_map<Addr, std::vector<Callback>> waiters_;
-    std::deque<Addr> queued_;
+    sim::WaiterTable<Addr, Callback> waiters_;
+    sim::RingQueue<Addr> queued_;
     std::uint32_t activeWalkers_ = 0;
 
     std::uint64_t walksStarted_ = 0;

@@ -13,16 +13,17 @@ PageTable::place(Addr vaddr, GpuId owner)
     // Leaf PTE page co-location: the page table page mapping this 2 MB
     // region goes where the region's first placed data page went.
     const Addr region = vaddr >> 21;
-    ptePageOwner_.emplace(region, owner);
+    auto [pte_owner, first] = ptePageOwner_.tryEmplace(region);
+    if (first)
+        *pte_owner = owner;
 }
 
 GpuId
 PageTable::dataOwner(Addr addr) const
 {
     const Addr vpn = addr / kPageBytes;
-    auto it = pageOwner_.find(vpn);
-    if (it != pageOwner_.end())
-        return it->second;
+    if (const GpuId *owner = pageOwner_.find(vpn))
+        return *owner;
     // Unplaced pages (e.g. scratch) interleave round-robin so nothing is
     // accidentally hot on GPU 0.
     return static_cast<GpuId>(vpn % numGpus_);
@@ -31,7 +32,7 @@ PageTable::dataOwner(Addr addr) const
 bool
 PageTable::isPlaced(Addr addr) const
 {
-    return pageOwner_.find(addr / kPageBytes) != pageOwner_.end();
+    return pageOwner_.contains(addr / kPageBytes);
 }
 
 WalkStep
@@ -51,10 +52,9 @@ PageTable::step(int level, Addr vaddr) const
     if (level == kPageTableLevels) {
         // Leaf PTE page: 512 PTEs cover one 2 MB region.
         const Addr region = vaddr >> 21;
-        auto it = ptePageOwner_.find(region);
-        s.owner = it != ptePageOwner_.end()
-                      ? it->second
-                      : static_cast<GpuId>(region % numGpus_);
+        const GpuId *owner = ptePageOwner_.find(region);
+        s.owner = owner != nullptr ? *owner
+                                   : static_cast<GpuId>(region % numGpus_);
     } else {
         // Upper-level table pages round-robin across GPUs; they are
         // almost always PWC hits, so their placement is a minor effect.

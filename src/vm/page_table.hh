@@ -14,8 +14,8 @@
 #define NETCRAFTER_VM_PAGE_TABLE_HH
 
 #include <cstdint>
-#include <unordered_map>
 
+#include "src/sim/flat_map.hh"
 #include "src/sim/types.hh"
 
 namespace netcrafter::vm {
@@ -82,10 +82,10 @@ class PageTable
     std::uint32_t numGpus_;
 
     /** virtual page number -> owner GPU. */
-    std::unordered_map<Addr, GpuId> pageOwner_;
+    sim::FlatMap<Addr, GpuId> pageOwner_;
 
     /** 2MB-region index -> owner GPU of its leaf PTE page. */
-    std::unordered_map<Addr, GpuId> ptePageOwner_;
+    sim::FlatMap<Addr, GpuId> ptePageOwner_;
 };
 
 } // namespace netcrafter::vm

@@ -62,7 +62,7 @@ Tlb::access(Addr vpn, Callback done)
         way->lastUse = ++useClock_;
         Translation t = way->t;
         schedule(params_.lookupLatency,
-                 [done = std::move(done), t] { done(t); });
+                 [done = std::move(done), t]() mutable { done(t); });
         return;
     }
 
@@ -70,9 +70,7 @@ Tlb::access(Addr vpn, Callback done)
     obs::tracepoint(engine(), obs::TraceLevel::Full,
                     obs::TraceKind::PktStage, obs::TraceStage::TlbMiss,
                     traceLane_, vpn);
-    auto [it, primary] = pendingByVpn_.try_emplace(vpn);
-    it->second.push_back(std::move(done));
-    if (!primary)
+    if (!pendingByVpn_.add(vpn, std::move(done)))
         return; // merged onto the outstanding miss
 
     if (activeBelow_ < params_.mshrEntries) {
@@ -96,10 +94,7 @@ void
 Tlb::finishMiss(Addr vpn, Translation t)
 {
     insert(vpn, t);
-    auto it = pendingByVpn_.find(vpn);
-    NC_ASSERT(it != pendingByVpn_.end(), "miss finished with no waiters");
-    auto waiters = std::move(it->second);
-    pendingByVpn_.erase(it);
+    auto waiters = pendingByVpn_.take(vpn);
 
     NC_ASSERT(activeBelow_ > 0, "TLB MSHR underflow");
     --activeBelow_;
@@ -110,7 +105,8 @@ Tlb::finishMiss(Addr vpn, Translation t)
         schedule(1, [this, next] { startMiss(next); });
     }
 
-    for (auto &done : waiters)
+    Callback done;
+    while (pendingByVpn_.pop(waiters, done))
         done(t);
 }
 

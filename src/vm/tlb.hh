@@ -10,12 +10,13 @@
 #define NETCRAFTER_VM_TLB_HH
 
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
+#include "src/sim/ring_queue.hh"
 #include "src/sim/sim_object.hh"
+#include "src/sim/small_fn.hh"
+#include "src/sim/waiter_table.hh"
 
 namespace netcrafter::vm {
 
@@ -46,7 +47,11 @@ struct TlbParams
 class Tlb : public sim::SimObject
 {
   public:
-    using Callback = std::function<void(Translation)>;
+    /**
+     * Translation continuation. Half of SmallFn's inline buffer, so a
+     * scheduled hit can carry one together with its result inline.
+     */
+    using Callback = sim::InlineFn<void(Translation), 32>;
 
     /** Miss handler: resolve @p vpn, calling the callback when done. */
     using MissHandler = std::function<void(Addr vpn, Callback done)>;
@@ -70,6 +75,13 @@ class Tlb : public sim::SimObject
     /** Primary misses that had to queue for an MSHR slot. */
     std::uint64_t mshrQueued() const { return mshrQueued_; }
 
+    /** Translations still waiting on a miss (census). */
+    std::size_t
+    inFlight() const
+    {
+        return pendingByVpn_.size() + queuedMisses_.size();
+    }
+
   private:
     struct Way
     {
@@ -92,10 +104,10 @@ class Tlb : public sim::SimObject
     std::uint64_t useClock_ = 0;
 
     /** vpn -> callbacks waiting for that translation (merged misses). */
-    std::unordered_map<Addr, std::vector<Callback>> pendingByVpn_;
+    sim::WaiterTable<Addr, Callback> pendingByVpn_;
 
     /** Primary misses waiting for one of the mshrEntries slots. */
-    std::deque<Addr> queuedMisses_;
+    sim::RingQueue<Addr> queuedMisses_;
     std::size_t activeBelow_ = 0;
 
     std::uint64_t accesses_ = 0;

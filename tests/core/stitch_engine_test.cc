@@ -105,7 +105,8 @@ TEST(StitchEngine, UnstitchRestoresOriginalFlits)
     const noc::PacketPtr cand_pkt = cand_whole->pkt;
     engine.stitch(*parent, std::move(cand_whole));
 
-    auto restored = engine.unstitch(parent);
+    std::vector<FlitPtr> restored;
+    engine.unstitch(parent, restored);
     ASSERT_EQ(restored.size(), 2u);
     EXPECT_FALSE(restored[0]->isStitched());
     EXPECT_EQ(restored[0]->occupiedBytes, 4u);
@@ -120,7 +121,8 @@ TEST(StitchEngine, UnstitchPassesPlainFlitsThrough)
     StitchEngine engine;
     auto flit = wholeOf(PacketType::ReadReq);
     const Flit *ptr = flit.get();
-    auto out = engine.unstitch(std::move(flit));
+    std::vector<FlitPtr> out;
+    engine.unstitch(std::move(flit), out);
     ASSERT_EQ(out.size(), 1u);
     EXPECT_EQ(out[0].get(), ptr);
     EXPECT_EQ(engine.stats().unstitched, 0u);
@@ -137,7 +139,8 @@ TEST(StitchEngine, PartialUnstitchKeepsSeqAndCount)
     const std::uint32_t seq = cand->seq;
     const std::uint32_t num = cand->numFlits;
     engine.stitch(*parent, cand);
-    auto out = engine.unstitch(parent);
+    std::vector<FlitPtr> out;
+    engine.unstitch(parent, out);
     ASSERT_EQ(out.size(), 2u);
     EXPECT_EQ(out[1]->seq, seq);
     EXPECT_EQ(out[1]->numFlits, num);
@@ -171,7 +174,8 @@ TEST(StitchEngineProperty, RandomRoundTripConservesBytes)
             engine.stitch(*parent, std::move(cand));
             ++absorbed;
         }
-        auto out = engine.unstitch(parent);
+        std::vector<FlitPtr> out;
+        engine.unstitch(parent, out);
         ASSERT_EQ(out.size(), static_cast<std::size_t>(absorbed + 1));
         std::uint32_t got = 0;
         for (const auto &f : out) {

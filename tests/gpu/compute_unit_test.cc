@@ -70,7 +70,7 @@ struct CuFixture : ::testing::Test
         while (!fills.empty()) {
             auto req = std::move(fills.front());
             fills.pop_front();
-            req.done(mem::fullMask(1));
+            req.complete(mem::fullMask(1));
         }
     }
 };

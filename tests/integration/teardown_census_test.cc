@@ -2,8 +2,10 @@
  * @file
  * Teardown census: aborted runs must be detected before a sharded
  * system is destroyed, because pending events hold pooled handles whose
- * thread-local arenas die with the worker threads. A completed run
- * passes the census; an aborted sharded run panics.
+ * thread-local arenas die with the worker threads. After a drained run,
+ * serial or sharded, every miss, waiter and outstanding-request table
+ * must be empty. A completed run passes the census; an aborted sharded
+ * run panics.
  */
 
 #include <gtest/gtest.h>
@@ -34,6 +36,23 @@ TEST(TeardownCensus, CompletedRunPassesTheCensus)
     system.auditTeardown(); // must not panic
 }
 
+TEST(TeardownCensus, DrainedSerialRunLeavesEveryTableEmpty)
+{
+    // Full NetCrafter exercises the controller holding area and the
+    // trimmed-fill replays on top of the baseline miss path.
+    for (const bool netcrafter : {false, true}) {
+        config::SystemConfig cfg = netcrafter ? config::netcrafterConfig()
+                                              : config::baselineConfig();
+        cfg.cusPerGpu = 8;
+        cfg.maxWavesPerCu = 4;
+        gpu::MultiGpuSystem system(cfg, 1);
+        auto wl = workloads::makeWorkload("SPMV");
+        EXPECT_EQ(system.runFor(*wl, 0.34), sim::RunStatus::Drained);
+        EXPECT_EQ(system.outstandingRequests(), 0u);
+        system.auditTeardown(); // panics naming a non-empty component
+    }
+}
+
 TEST(TeardownCensus, SerialAbortedRunReportsLimitHit)
 {
     // Serial systems keep every pooled arena on the caller's thread, so
@@ -44,7 +63,7 @@ TEST(TeardownCensus, SerialAbortedRunReportsLimitHit)
     const sim::RunStatus status =
         system.runFor(*wl, 0.34, /*max_cycles=*/500);
     EXPECT_EQ(status, sim::RunStatus::LimitHit);
-    system.auditTeardown(); // no-op with one shard
+    system.auditTeardown(); // in-flight state is expected: no panic
 }
 
 TEST(TeardownCensusDeathTest, AbortedShardedRunPanics)

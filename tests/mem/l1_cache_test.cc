@@ -29,7 +29,7 @@ struct FillStub
         ASSERT_FALSE(pending.empty());
         auto req = std::move(pending.front());
         pending.pop_front();
-        req.done(mask);
+        req.complete(mask);
     }
 };
 

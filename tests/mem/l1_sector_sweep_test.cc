@@ -58,7 +58,7 @@ TEST_P(SectorSweep, SectorFillSatisfiesOnlyItsSector)
     int done = 0;
     l1.access(0x2000, 0, 4, false, [&] { ++done; });
     engine.run();
-    fills.front().done(0b1);
+    fills.front().complete(0b1);
     fills.pop_front();
     engine.run();
     EXPECT_EQ(done, 1);
@@ -103,7 +103,7 @@ TEST(SectorSweepProperty, FinerSectorsNeverMissLess)
             while (!fills.empty()) {
                 auto req = std::move(fills.front());
                 fills.pop_front();
-                req.done(req.neededSectors);
+                req.complete(req.neededSectors);
                 engine.run();
             }
         }

@@ -15,7 +15,10 @@ TEST(Mshr, AllocateMergeRelease)
     EXPECT_TRUE(mshr.outstanding(0x40));
     mshr.merge(0x40, 2);
     mshr.merge(0x40, 3);
-    auto waiters = mshr.release(0x40);
+    auto chain = mshr.release(0x40);
+    std::vector<int> waiters;
+    for (int w = 0; mshr.next(chain, w);)
+        waiters.push_back(w);
     EXPECT_EQ(waiters, (std::vector<int>{1, 2, 3}));
     EXPECT_FALSE(mshr.outstanding(0x40));
     EXPECT_EQ(mshr.allocations(), 1u);
@@ -29,7 +32,9 @@ TEST(Mshr, CapacityCountsDistinctAddresses)
     mshr.merge(0x40, 2); // merges don't consume entries
     mshr.allocate(0x80, 3);
     EXPECT_TRUE(mshr.full());
-    mshr.release(0x40);
+    auto chain = mshr.release(0x40);
+    for (int w = 0; mshr.next(chain, w);) {
+    }
     EXPECT_FALSE(mshr.full());
 }
 

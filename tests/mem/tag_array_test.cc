@@ -6,6 +6,7 @@
 #include "src/sim/random.hh"
 
 #include <unordered_map>
+#include <vector>
 
 namespace netcrafter::mem {
 namespace {
@@ -126,6 +127,144 @@ TEST(TagArrayProperty, AgreesWithReferenceOnPresence)
         EXPECT_TRUE(tags.covers(line, mask));
         // Valid sectors are always a subset of everything ever filled.
         EXPECT_EQ(tags.validSectors(line) & ~reference[line], 0u);
+    }
+}
+
+/**
+ * Reference LRU model: explicit ways per set with last-use stamps. The
+ * victim is the first invalid way, otherwise the least recently used.
+ */
+class ReferenceLru
+{
+  public:
+    ReferenceLru(std::uint32_t sets, std::uint32_t assoc)
+        : sets_(sets), assoc_(assoc), ways_(sets * assoc)
+    {}
+
+    Eviction
+    fill(Addr line, SectorMask mask)
+    {
+        ++clock_;
+        if (Way *w = find(line)) {
+            w->valid |= mask;
+            w->lastUse = clock_;
+            return Eviction{};
+        }
+        Way *set = &ways_[setOf(line) * assoc_];
+        Way *victim = nullptr;
+        for (std::uint32_t i = 0; i < assoc_ && victim == nullptr; ++i) {
+            if (set[i].valid == 0)
+                victim = &set[i];
+        }
+        Eviction ev;
+        if (victim == nullptr) {
+            victim = &set[0];
+            for (std::uint32_t i = 1; i < assoc_; ++i) {
+                if (set[i].lastUse < victim->lastUse)
+                    victim = &set[i];
+            }
+            ev = Eviction{true, victim->line, victim->dirty};
+        }
+        *victim = Way{line, mask, false, clock_};
+        return ev;
+    }
+
+    void
+    touch(Addr line)
+    {
+        if (Way *w = find(line))
+            w->lastUse = ++clock_;
+    }
+
+    void
+    markDirty(Addr line)
+    {
+        if (Way *w = find(line))
+            w->dirty = true;
+    }
+
+    bool
+    invalidate(Addr line)
+    {
+        Way *w = find(line);
+        if (w == nullptr)
+            return false;
+        *w = Way{};
+        return true;
+    }
+
+    SectorMask
+    validSectors(Addr line)
+    {
+        const Way *w = find(line);
+        return w ? w->valid : 0;
+    }
+
+  private:
+    struct Way
+    {
+        Addr line = kAddrInvalid;
+        SectorMask valid = 0;
+        bool dirty = false;
+        std::uint64_t lastUse = 0;
+    };
+
+    std::uint32_t setOf(Addr line) const { return (line / 64) % sets_; }
+
+    Way *
+    find(Addr line)
+    {
+        Way *set = &ways_[setOf(line) * assoc_];
+        for (std::uint32_t i = 0; i < assoc_; ++i) {
+            if (set[i].valid != 0 && set[i].line == line)
+                return &set[i];
+        }
+        return nullptr;
+    }
+
+    std::uint32_t sets_;
+    std::uint32_t assoc_;
+    std::vector<Way> ways_;
+    std::uint64_t clock_ = 0;
+};
+
+/**
+ * Property: under random fills, touches, dirtying and invalidations,
+ * the tag array evicts exactly the reference LRU's victims, in the same
+ * order, with the same dirty bits.
+ */
+TEST(TagArrayProperty, VictimSequenceMatchesReferenceLru)
+{
+    for (const std::uint32_t assoc : {1u, 4u, 16u}) {
+        const std::uint32_t sets = 4;
+        TagArray tags(static_cast<std::uint64_t>(sets) * assoc * 64, assoc,
+                      64, 16);
+        ReferenceLru ref(sets, assoc);
+        Pcg32 rng(assoc);
+        for (int op = 0; op < 30000; ++op) {
+            const Addr line =
+                static_cast<Addr>(rng.below(sets * assoc * 3)) * 64;
+            const std::uint32_t dice = rng.below(20);
+            if (dice < 12) {
+                const SectorMask mask = 1ull << rng.below(4);
+                const Eviction got = tags.fill(line, mask);
+                const Eviction want = ref.fill(line, mask);
+                ASSERT_EQ(got.valid, want.valid) << "op " << op;
+                if (want.valid) {
+                    ASSERT_EQ(got.line, want.line) << "op " << op;
+                    ASSERT_EQ(got.dirty, want.dirty) << "op " << op;
+                }
+            } else if (dice < 16) {
+                tags.touch(line);
+                ref.touch(line);
+            } else if (dice < 19) {
+                tags.markDirty(line);
+                ref.markDirty(line);
+            } else {
+                ASSERT_EQ(tags.invalidate(line), ref.invalidate(line));
+            }
+            ASSERT_EQ(tags.validSectors(line), ref.validSectors(line));
+        }
     }
 }
 
