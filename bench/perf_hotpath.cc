@@ -13,13 +13,12 @@
  *
  * Usage:
  *   perf_hotpath [--out FILE] [--quick] [--scale S]
- *                [--shards [--adaptive]] [--worksteal] [--obs]
- *                [--flow]
+ *                [--shards] [--worksteal] [--obs] [--flow]
  *
  *   --out FILE   write JSON to FILE (default BENCH_hotpath.json;
- *                BENCH_parallel.json with --shards, BENCH_adaptive.json
- *                with --shards --adaptive, BENCH_worksteal.json with
- *                --worksteal, BENCH_obs.json with --obs)
+ *                BENCH_adaptive.json with --shards,
+ *                BENCH_worksteal.json with --worksteal, BENCH_obs.json
+ *                with --obs, BENCH_flow.json with --flow)
  *   --quick      baseline + full NetCrafter configs only (CI smoke)
  *   --scale S    extra problem-size multiplier on top of
  *                NETCRAFTER_SCALE (default 1.0)
@@ -30,18 +29,13 @@
  *                JSON records host_cpus: speedup over serial requires
  *                at least as many host cores as shards, so on a
  *                single-core host the sharded points only measure
- *                barrier overhead. Runs the fixed conservative quantum
- *                (the synchronization-tax baseline).
- *   --adaptive   with --shards: use the adaptive per-quantum lookahead
- *                instead. Diff barrier_stall_ticks / quanta_executed
- *                against the fixed-quantum BENCH_parallel.json from
- *                the same host to see the tax shrink.
+ *                barrier overhead.
  *   --worksteal  work-stealing mode: the figure 14 grid on the same
- *                4-cluster topology, adaptive lookahead, serial plus a
- *                4-shard executor-policy sweep — one thread per shard
- *                with stealing off (the PR 5 adaptive baseline), then
- *                multiplexed and stealing points (T=1, T=2 off, T=2 on,
- *                T=4 on). Every point must reproduce the serial census.
+ *                4-cluster topology, serial plus a 4-shard
+ *                executor-policy sweep — one thread per shard with
+ *                stealing off, then multiplexed and stealing points
+ *                (T=1, T=2 off, T=2 on, T=4 on). Every point must
+ *                reproduce the serial census.
  *                The JSON records the steal counters, the covered /
  *                residual barrier-stall split, and wall-clock speedup
  *                vs serial; host_cpus comes from the scheduling
@@ -64,17 +58,6 @@
  *                the relative cycles error of each approximate mode;
  *                fails only on broken flow-lane conservation (accuracy
  *                is validate-fidelity's gate)
- *   --relaxed    relaxed-sync mode: the fig14 grid on the 4-cluster
- *                topology, Strict vs Relaxed at a sweep of skew
- *                bounds (16/64/256/1024 ticks) at 4 shards, plus
- *                executor-policy replicas of the relaxed-256 point
- *                (must reproduce it bit-for-bit) and 8-/16-cluster
- *                scale points. Writes BENCH_relaxed.json with the
- *                rendezvous-reduction, residual-stall-reduction,
- *                observed-skew and late-slot-displacement columns;
- *                fails on strict census divergence, instruction
- *                conservation breakage, a skew-bound violation, or
- *                replica divergence (accuracy is audit-skew's gate)
  */
 
 #include <algorithm>
@@ -117,21 +100,11 @@ eventsPerSecond(std::uint64_t events, double seconds)
  * Parallel-scaling bench: the fig14 grid on a 4-cluster topology
  * (one GPU per cluster, so 4 shards partition it fully), swept over
  * shard counts. Fails if any sharded census diverges from serial.
- * Runs with the fixed conservative quantum by default (the PR 3
- * baseline, BENCH_parallel.json); with @p adaptive it uses the
- * per-quantum adaptive lookahead (BENCH_adaptive.json) so the two
- * files compare the synchronization tax on the same host — the
- * adaptive rows must show fewer quanta and fewer barrier stall ticks.
  */
 int
-runShardBench(const std::string &out_path, bool quick, double scale,
-              bool adaptive)
+runShardBench(const std::string &out_path, bool quick, double scale)
 {
     using namespace netcrafter;
-
-    sim::setDefaultLookaheadMode(adaptive
-                                     ? sim::LookaheadMode::Adaptive
-                                     : sim::LookaheadMode::FixedQuantum);
 
     std::vector<std::pair<std::string, SystemConfig>> configs = {
         {"base", config::baselineConfig()},
@@ -223,8 +196,6 @@ runShardBench(const std::string &out_path, bool quick, double scale,
     os << "  \"bench\": \"perf_parallel\",\n";
     os << "  \"workload_set\": \"fig14\",\n";
     os << "  \"topology\": \"4 clusters x 1 gpu\",\n";
-    os << "  \"lookahead\": \"" << (adaptive ? "adaptive" : "fixed")
-       << "\",\n";
     os << "  \"quick\": " << (quick ? "true" : "false") << ",\n";
     os << "  \"scale\": " << scale << ",\n";
     os << "  \"env_scale\": " << netcrafter::harness::envScale()
@@ -263,8 +234,7 @@ runShardBench(const std::string &out_path, bool quick, double scale,
     }
     os << "\n  ]\n}\n";
 
-    std::cout << "perf_hotpath --shards"
-              << (adaptive ? " --adaptive: " : ": ")
+    std::cout << "perf_hotpath --shards: "
               << (census_ok ? "census identical across "
                             : "CENSUS DIVERGED across ")
               << rows.size() << " shard counts, host_cpus="
@@ -273,21 +243,19 @@ runShardBench(const std::string &out_path, bool quick, double scale,
 }
 
 /**
- * Work-stealing bench: the fig14 grid on the 4-cluster topology under
- * the adaptive lookahead (the PR 5 mode, so the covered/residual stall
- * split diffs directly against BENCH_adaptive.json), swept over
- * executor policies at a fixed 4 shards. The first sharded point — one
- * thread per shard, stealing off — IS the PR 5 configuration; the
- * remaining points multiplex the four work units onto fewer threads
- * and turn the claim ledger on, which is where steals actually fire.
- * Fails if any point's census diverges from serial.
+ * Work-stealing bench: the fig14 grid on the 4-cluster topology, swept
+ * over executor policies at a fixed 4 shards (so the covered/residual
+ * stall split diffs directly against BENCH_adaptive.json). The first
+ * sharded point — one thread per shard, stealing off — is the
+ * --shards configuration; the remaining points multiplex the four work
+ * units onto fewer threads and turn the claim ledger on, which is
+ * where steals actually fire. Fails if any point's census diverges
+ * from serial.
  */
 int
 runWorkstealBench(const std::string &out_path, bool quick, double scale)
 {
     using namespace netcrafter;
-
-    sim::setDefaultLookaheadMode(sim::LookaheadMode::Adaptive);
 
     std::vector<std::pair<std::string, SystemConfig>> configs = {
         {"base", config::baselineConfig()},
@@ -392,7 +360,6 @@ runWorkstealBench(const std::string &out_path, bool quick, double scale)
     os << "  \"bench\": \"perf_worksteal\",\n";
     os << "  \"workload_set\": \"fig14\",\n";
     os << "  \"topology\": \"4 clusters x 1 gpu\",\n";
-    os << "  \"lookahead\": \"adaptive\",\n";
     os << "  \"quick\": " << (quick ? "true" : "false") << ",\n";
     os << "  \"scale\": " << scale << ",\n";
     os << "  \"env_scale\": " << netcrafter::harness::envScale()
@@ -442,352 +409,6 @@ runWorkstealBench(const std::string &out_path, bool quick, double scale)
               << rows.size() << " executor policies, host_cpus="
               << host_cpus << " (JSON: " << out_path << ")\n";
     return census_ok ? 0 : 1;
-}
-
-/**
- * Relaxed-sync bench: the fig14 grid on the 4-cluster topology under
- * the adaptive lookahead, comparing Strict execution against Relaxed
- * execution at a sweep of skew bounds (all at 4 shards, one thread per
- * shard), plus two executor-policy replicas of the headline relaxed
- * point that must reproduce its measurement exactly, and 8- and
- * 16-cluster scale points that only the relaxed epoch rendezvous makes
- * tractable. Writes BENCH_relaxed.json with, per relaxed row, the
- * barrier-rendezvous reduction over Strict, the residual-stall
- * reduction, the observed-skew extrema (gated <= the bound), and the
- * late-slot displacement census. Fails when a Strict row's census
- * diverges from serial, when a Relaxed row breaks instruction
- * conservation or its skew bound, or when the policy replicas diverge
- * from the headline relaxed measurement.
- */
-int
-runRelaxedBench(const std::string &out_path, bool quick, double scale)
-{
-    using namespace netcrafter;
-
-    sim::setDefaultLookaheadMode(sim::LookaheadMode::Adaptive);
-
-    std::vector<std::pair<std::string, SystemConfig>> configs = {
-        {"base", config::baselineConfig()},
-        {"full", bench::fullNetcrafter()},
-    };
-    if (!quick) {
-        configs.insert(configs.begin() + 1,
-                       {"stitch", bench::stitchSelective32()});
-        configs.insert(configs.begin() + 2,
-                       {"trim", bench::stitchTrim()});
-        configs.push_back({"sector", config::sectorCacheConfig(16)});
-    }
-    for (auto &[name, cfg] : configs) {
-        cfg.numClusters = 4;
-        cfg.gpusPerCluster = 1;
-    }
-
-    const sim::SyncPolicy strict{};
-    auto relaxed = [](Tick bound) {
-        return sim::SyncPolicy{sim::SyncMode::Relaxed, bound};
-    };
-
-    struct SyncRow
-    {
-        std::string label;
-        unsigned shards;
-        sim::ExecPolicy exec;
-        sim::SyncPolicy sync;
-        std::uint64_t events = 0;
-        std::uint64_t cycles = 0;
-        std::uint64_t instructions = 0;
-        std::uint64_t quanta = 0;
-        std::uint64_t stallTicks = 0;
-        std::uint64_t residualStall = 0;
-        std::uint64_t maxSkew = 0;
-        double skewSum = 0;
-        std::uint64_t skewPoints = 0;
-        std::uint64_t lateArrivals = 0;
-        std::uint64_t lateCredits = 0;
-        std::uint64_t lateDisplacement = 0;
-        std::uint64_t maxLateDisplacement = 0;
-        double wall = 0;
-        std::vector<RunResult> results;
-    };
-    const sim::ExecPolicy t4{0, false, 1};
-    std::vector<SyncRow> rows = {
-        {"serial", 1, t4, strict},
-        {"s4-strict", 4, t4, strict},
-        {"s4-relaxed-16", 4, t4, relaxed(16)},
-        {"s4-relaxed-64", 4, t4, relaxed(64)},
-        {"s4-relaxed-256", 4, t4, relaxed(256)},
-        {"s4-relaxed-1024", 4, t4, relaxed(1024)},
-        // Executor-policy replicas of the headline relaxed point: the
-        // relaxed epoch schedule is a pure function of simulated state,
-        // so these must reproduce s4-relaxed-256 measurement-for-
-        // measurement despite different thread counts and stealing.
-        {"s4-t2-relaxed-256", 4, sim::ExecPolicy{2, false, 1},
-         relaxed(256)},
-        {"s4-t4-steal-relaxed-256", 4, sim::ExecPolicy{4, true, 1},
-         relaxed(256)},
-    };
-    const std::string note =
-        bench::undersubscribedNote("perf_hotpath --relaxed", 4);
-    const obs::TraceOptions no_trace;
-    const flow::Fidelity cycle = flow::Fidelity::Cycle;
-
-    bool census_ok = true;       // strict rows vs serial, bit-exact
-    bool conserved = true;       // relaxed rows: instructions vs serial
-    bool skew_bounded = true;    // max observed skew <= bound, per run
-    bool replicas_match = true;  // policy replicas vs s4-relaxed-256
-
-    for (SyncRow &row : rows) {
-        for (const auto &[cfg_name, cfg] : configs) {
-            for (const auto &app : bench::apps()) {
-                const RunResult r = harness::runWorkload(
-                    app, cfg, scale, row.shards, no_trace, row.exec,
-                    cycle, row.sync);
-                row.events += r.events;
-                row.cycles += r.cycles;
-                row.instructions += r.instructions;
-                row.quanta += r.quantaExecuted;
-                row.stallTicks += r.barrierStallTicks;
-                row.residualStall += r.residualStallTicks;
-                row.maxSkew = std::max(row.maxSkew, r.maxObservedSkew);
-                if (r.meanObservedSkew > 0) {
-                    row.skewSum += r.meanObservedSkew;
-                    ++row.skewPoints;
-                }
-                row.lateArrivals += r.lateArrivals;
-                row.lateCredits += r.lateCredits;
-                row.lateDisplacement += r.lateDisplacementTicks;
-                row.maxLateDisplacement = std::max(
-                    row.maxLateDisplacement, r.maxLateDisplacement);
-                row.wall += r.wallSeconds;
-                if (row.sync.mode == sim::SyncMode::Relaxed &&
-                    r.maxObservedSkew >
-                        static_cast<std::uint64_t>(
-                            row.sync.skewBound)) {
-                    std::cerr << "perf_hotpath --relaxed: skew bound "
-                                 "VIOLATED at "
-                              << row.label << "/" << cfg_name << "/"
-                              << app << ": " << r.maxObservedSkew
-                              << " > " << row.sync.skewBound << "\n";
-                    skew_bounded = false;
-                }
-                row.results.push_back(r);
-            }
-        }
-        const SyncRow &serial_row = rows.front();
-        if (&row != &serial_row) {
-            if (row.sync.mode == sim::SyncMode::Strict &&
-                (row.events != serial_row.events ||
-                 row.cycles != serial_row.cycles)) {
-                std::cerr << "perf_hotpath --relaxed: strict census "
-                             "diverged at "
-                          << row.label << "\n";
-                census_ok = false;
-            }
-            if (row.instructions != serial_row.instructions) {
-                std::cerr << "perf_hotpath --relaxed: instruction "
-                             "conservation BROKEN at "
-                          << row.label << ": " << row.instructions
-                          << " vs serial " << serial_row.instructions
-                          << "\n";
-                conserved = false;
-            }
-        }
-        std::cerr << row.label << ": " << row.events << " events / "
-                  << row.quanta << " quanta / " << row.residualStall
-                  << " residual stall, max skew " << row.maxSkew
-                  << ", " << row.lateArrivals << " late arrivals ("
-                  << row.wall << "s)\n";
-    }
-
-    // The headline relaxed point and its executor-policy replicas must
-    // report identical measurements run-for-run.
-    {
-        const SyncRow *headline = nullptr;
-        for (const SyncRow &row : rows)
-            if (row.label == "s4-relaxed-256")
-                headline = &row;
-        for (const SyncRow &row : rows) {
-            if (&row == headline ||
-                row.label.find("relaxed-256") == std::string::npos)
-                continue;
-            for (std::size_t i = 0; i < row.results.size(); ++i) {
-                if (!harness::sameMeasurement(row.results[i],
-                                              headline->results[i])) {
-                    std::cerr << "perf_hotpath --relaxed: replica "
-                              << row.label
-                              << " DIVERGED from s4-relaxed-256 at "
-                                 "point "
-                              << i << "\n";
-                    replicas_match = false;
-                    break;
-                }
-            }
-        }
-    }
-
-    // Scale points: grids the strict doorbell barrier priced out. Each
-    // cluster count is its own simulated system, so strict and relaxed
-    // compare within a pair only. Run before the JSON opens so their
-    // conservation/skew checks feed the top-level gates.
-    struct ScalePoint
-    {
-        unsigned clusters;
-        std::string workload;
-        RunResult result;
-    };
-    std::vector<ScalePoint> scale_points;
-    for (unsigned clusters : std::vector<unsigned>{8, 16}) {
-        SystemConfig cfg = config::baselineConfig();
-        cfg.numClusters = clusters;
-        cfg.gpusPerCluster = 1;
-        const std::string app = bench::apps().front();
-        const RunResult s = harness::runWorkload(
-            app, cfg, scale, clusters, no_trace, t4, cycle, strict);
-        const RunResult x = harness::runWorkload(
-            app, cfg, scale, clusters, no_trace, t4, cycle,
-            relaxed(256));
-        if (x.instructions != s.instructions) {
-            std::cerr << "perf_hotpath --relaxed: instruction "
-                         "conservation BROKEN at " << clusters
-                      << " clusters\n";
-            conserved = false;
-        }
-        if (x.maxObservedSkew > 256) {
-            std::cerr << "perf_hotpath --relaxed: skew bound VIOLATED "
-                         "at " << clusters << " clusters\n";
-            skew_bounded = false;
-        }
-        std::cerr << "s" << clusters << ": strict "
-                  << s.quantaExecuted << " quanta vs relaxed "
-                  << x.quantaExecuted << " quanta, max skew "
-                  << x.maxObservedSkew << "\n";
-        scale_points.push_back({clusters, app, s});
-        scale_points.push_back({clusters, app, x});
-    }
-
-    std::ofstream os(out_path);
-    if (!os) {
-        std::cerr << "cannot open " << out_path << " for writing\n";
-        return 1;
-    }
-    const unsigned host_cpus = bench::hostCpus();
-    const SyncRow &strict4 = rows[1];
-    os.precision(17);
-    os << "{\n";
-    os << "  \"bench\": \"perf_relaxed\",\n";
-    os << "  \"workload_set\": \"fig14\",\n";
-    os << "  \"topology\": \"4 clusters x 1 gpu\",\n";
-    os << "  \"lookahead\": \"adaptive\",\n";
-    os << "  \"quick\": " << (quick ? "true" : "false") << ",\n";
-    os << "  \"scale\": " << scale << ",\n";
-    os << "  \"env_scale\": " << harness::envScale() << ",\n";
-    os << "  \"host_cpus\": " << host_cpus << ",\n";
-    os << "  \"notes\": \"" << exp::jsonEscape(note) << "\",\n";
-    os << "  \"strict_census_identical\": "
-       << (census_ok ? "true" : "false") << ",\n";
-    os << "  \"instructions_conserved\": "
-       << (conserved ? "true" : "false") << ",\n";
-    os << "  \"skew_within_bound\": "
-       << (skew_bounded ? "true" : "false") << ",\n";
-    os << "  \"replicas_identical\": "
-       << (replicas_match ? "true" : "false") << ",\n";
-    os << "  \"points\": [";
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        const SyncRow &r = rows[i];
-        const bool is_relaxed = r.sync.mode == sim::SyncMode::Relaxed;
-        os << (i ? ",\n    {" : "\n    {");
-        os << "\"label\": \"" << exp::jsonEscape(r.label) << "\", "
-           << "\"shards\": " << r.shards << ", "
-           << "\"sync_mode\": \"" << sim::syncModeName(r.sync.mode)
-           << "\", "
-           << "\"skew_bound\": "
-           << (is_relaxed ? static_cast<std::uint64_t>(r.sync.skewBound)
-                          : 0)
-           << ", "
-           << "\"steal\": " << (r.exec.steal ? "true" : "false") << ", "
-           << "\"events\": " << r.events << ", "
-           << "\"cycles\": " << r.cycles << ", "
-           << "\"instructions\": " << r.instructions << ", "
-           << "\"quanta_executed\": " << r.quanta << ", "
-           << "\"barrier_stall_ticks\": " << r.stallTicks << ", "
-           << "\"residual_stall_ticks\": " << r.residualStall << ", "
-           << "\"max_observed_skew\": " << r.maxSkew << ", "
-           << "\"mean_observed_skew\": "
-           << (r.skewPoints > 0
-                   ? r.skewSum / static_cast<double>(r.skewPoints)
-                   : 0.0)
-           << ", "
-           << "\"late_arrivals\": " << r.lateArrivals << ", "
-           << "\"late_credits\": " << r.lateCredits << ", "
-           << "\"late_displacement_ticks\": " << r.lateDisplacement
-           << ", "
-           << "\"max_late_displacement\": " << r.maxLateDisplacement
-           << ", "
-           << "\"quanta_reduction_x\": "
-           << (is_relaxed && r.quanta > 0
-                   ? static_cast<double>(strict4.quanta) /
-                         static_cast<double>(r.quanta)
-                   : 1.0)
-           << ", "
-           << "\"residual_stall_reduction_frac\": "
-           << (is_relaxed && strict4.residualStall > 0
-                   ? 1.0 - static_cast<double>(r.residualStall) /
-                               static_cast<double>(strict4.residualStall)
-                   : 0.0)
-           << ", "
-           << "\"cycles_relerr\": "
-           << (rows.front().cycles > 0
-                   ? (static_cast<double>(r.cycles) -
-                      static_cast<double>(rows.front().cycles)) /
-                         static_cast<double>(rows.front().cycles)
-                   : 0.0)
-           << ", "
-           << "\"wall_seconds\": " << r.wall << ", "
-           << "\"events_per_second\": "
-           << eventsPerSecond(r.events, r.wall) << "}";
-    }
-    os << "\n  ],\n";
-    os << "  \"scale_points\": [";
-    for (std::size_t i = 0; i < scale_points.size(); ++i) {
-        const ScalePoint &p = scale_points[i];
-        const RunResult &r = p.result;
-        os << (i ? ",\n    {" : "\n    {");
-        os << "\"label\": \"s" << p.clusters << "-"
-           << sim::syncModeName(r.syncMode) << "\", "
-           << "\"clusters\": " << p.clusters << ", "
-           << "\"shards\": " << p.clusters << ", "
-           << "\"workload\": \"" << exp::jsonEscape(p.workload)
-           << "\", "
-           << "\"sync_mode\": \"" << sim::syncModeName(r.syncMode)
-           << "\", "
-           << "\"skew_bound\": "
-           << static_cast<std::uint64_t>(r.skewBound) << ", "
-           << "\"events\": " << r.events << ", "
-           << "\"cycles\": "
-           << static_cast<std::uint64_t>(r.cycles) << ", "
-           << "\"instructions\": " << r.instructions << ", "
-           << "\"quanta_executed\": " << r.quantaExecuted << ", "
-           << "\"residual_stall_ticks\": " << r.residualStallTicks
-           << ", "
-           << "\"max_observed_skew\": " << r.maxObservedSkew << ", "
-           << "\"late_arrivals\": " << r.lateArrivals << ", "
-           << "\"wall_seconds\": " << r.wallSeconds << "}";
-    }
-    os << "\n  ]\n}\n";
-
-    const bool ok =
-        census_ok && conserved && skew_bounded && replicas_match;
-    std::cout << "perf_hotpath --relaxed: "
-              << (ok ? "PASS" : "FAIL") << " — strict census "
-              << (census_ok ? "identical" : "DIVERGED")
-              << ", instructions "
-              << (conserved ? "conserved" : "BROKEN") << ", skew "
-              << (skew_bounded ? "within bound" : "OUT OF BOUND")
-              << ", replicas "
-              << (replicas_match ? "identical" : "DIVERGED")
-              << ", host_cpus=" << host_cpus << " (JSON: " << out_path
-              << ")\n";
-    return ok ? 0 : 1;
 }
 
 /**
@@ -1187,11 +808,9 @@ main(int argc, char **argv)
     std::string ref_path;
     bool quick = false;
     bool shard_bench = false;
-    bool adaptive = false;
     bool worksteal_bench = false;
     bool obs_bench = false;
     bool flow_bench = false;
-    bool relaxed_bench = false;
     double scale = 1.0;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -1203,16 +822,12 @@ main(int argc, char **argv)
             quick = true;
         } else if (arg == "--shards") {
             shard_bench = true;
-        } else if (arg == "--adaptive") {
-            adaptive = true;
         } else if (arg == "--worksteal") {
             worksteal_bench = true;
         } else if (arg == "--obs") {
             obs_bench = true;
         } else if (arg == "--flow") {
             flow_bench = true;
-        } else if (arg == "--relaxed") {
-            relaxed_bench = true;
         } else if (arg == "--scale" && i + 1 < argc) {
             const std::string value = argv[++i];
             char *end = nullptr;
@@ -1225,15 +840,10 @@ main(int argc, char **argv)
             }
         } else {
             std::cerr << "usage: perf_hotpath [--out FILE] [--quick]"
-                         " [--scale S] [--shards [--adaptive]]"
-                         " [--worksteal] [--obs [--ref FILE]] [--flow]"
-                         " [--relaxed]\n";
+                         " [--scale S] [--shards] [--worksteal]"
+                         " [--obs [--ref FILE]] [--flow]\n";
             return 2;
         }
-    }
-    if (adaptive && !shard_bench) {
-        std::cerr << "perf_hotpath: --adaptive requires --shards\n";
-        return 2;
     }
     if (worksteal_bench && (shard_bench || obs_bench)) {
         std::cerr << "perf_hotpath: --worksteal excludes --shards and "
@@ -1244,31 +854,21 @@ main(int argc, char **argv)
         std::cerr << "perf_hotpath: --flow excludes the other modes\n";
         return 2;
     }
-    if (relaxed_bench &&
-        (shard_bench || obs_bench || worksteal_bench || flow_bench)) {
-        std::cerr << "perf_hotpath: --relaxed excludes the other "
-                     "modes\n";
-        return 2;
-    }
     if (out_path.empty()) {
-        out_path = shard_bench ? (adaptive ? "BENCH_adaptive.json"
-                                           : "BENCH_parallel.json")
+        out_path = shard_bench       ? "BENCH_adaptive.json"
                    : worksteal_bench ? "BENCH_worksteal.json"
                    : obs_bench       ? "BENCH_obs.json"
                    : flow_bench      ? "BENCH_flow.json"
-                   : relaxed_bench   ? "BENCH_relaxed.json"
                                      : "BENCH_hotpath.json";
     }
     if (shard_bench)
-        return runShardBench(out_path, quick, scale, adaptive);
+        return runShardBench(out_path, quick, scale);
     if (worksteal_bench)
         return runWorkstealBench(out_path, quick, scale);
     if (obs_bench)
         return runObsBench(out_path, quick, scale, ref_path);
     if (flow_bench)
         return runFlowBench(out_path, quick, scale);
-    if (relaxed_bench)
-        return runRelaxedBench(out_path, quick, scale);
 
     std::vector<std::pair<std::string, SystemConfig>> configs = {
         {"base", config::baselineConfig()},

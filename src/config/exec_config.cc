@@ -60,38 +60,4 @@ execPolicyFromEnv()
     return exec;
 }
 
-sim::SyncMode
-parseSyncModeEnv(const char *text)
-{
-    if (std::strcmp(text, "strict") == 0)
-        return sim::SyncMode::Strict;
-    if (std::strcmp(text, "relaxed") == 0)
-        return sim::SyncMode::Relaxed;
-    NC_FATAL("NETCRAFTER_SYNC must be 'strict' or 'relaxed', got '",
-             text, "'");
-}
-
-Tick
-parseSkewBoundEnv(const char *text)
-{
-    char *end = nullptr;
-    const long long v = std::strtoll(text, &end, 10);
-    if (end == text || *end != '\0' || v < 0 || v > (1LL << 40)) {
-        NC_FATAL("NETCRAFTER_SKEW_BOUND must be a non-negative tick "
-                 "bound (0 = strict windows), got '", text, "'");
-    }
-    return static_cast<Tick>(v);
-}
-
-sim::SyncPolicy
-syncPolicyFromEnv()
-{
-    sim::SyncPolicy sync;
-    if (const char *env = std::getenv("NETCRAFTER_SYNC"))
-        sync.mode = parseSyncModeEnv(env);
-    if (const char *env = std::getenv("NETCRAFTER_SKEW_BOUND"))
-        sync.skewBound = parseSkewBoundEnv(env);
-    return sync;
-}
-
 } // namespace netcrafter::config

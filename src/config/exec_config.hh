@@ -46,30 +46,6 @@ std::uint32_t parseStealMinBacklogEnv(const char *text);
  */
 sim::ExecPolicy execPolicyFromEnv();
 
-/**
- * Parse one NETCRAFTER_SYNC value: "strict" or "relaxed". Anything
- * else is fatal. Unlike the ExecPolicy knobs above, the sync mode DOES
- * change simulation results (a relaxed run is reproducible but not
- * bit-identical to strict), so it flows into the result-cache key and
- * the export columns.
- */
-sim::SyncMode parseSyncModeEnv(const char *text);
-
-/**
- * Parse one NETCRAFTER_SKEW_BOUND value: a non-negative tick bound on
- * relaxed-mode clock skew (0 degenerates to strict windows; capped at
- * 2^40 ticks). Negatives and garbage are fatal.
- */
-Tick parseSkewBoundEnv(const char *text);
-
-/**
- * Build a SyncPolicy from the NETCRAFTER_SYNC and NETCRAFTER_SKEW_BOUND
- * environment variables, starting from the defaults (strict mode, the
- * default relaxed skew bound). Unset variables leave the field
- * untouched; invalid values are fatal.
- */
-sim::SyncPolicy syncPolicyFromEnv();
-
 } // namespace netcrafter::config
 
 #endif // NETCRAFTER_CONFIG_EXEC_CONFIG_HH

@@ -6,7 +6,6 @@
 #include <sstream>
 
 #include "src/flow/fidelity.hh"
-#include "src/sim/sharded_engine.hh"
 
 namespace netcrafter::exp {
 
@@ -191,21 +190,8 @@ fields()
         NUM_FIELD("phase_steal_scan_seconds",
                   r.result.phaseStealScanSeconds),
         NUM_FIELD("phase_export_seconds", r.result.phaseExportSeconds),
-        // Relaxed-sync census: the synchronization mode the run
-        // executed under, its skew bound, and the observed skew /
-        // late-slot tallies (all zero under strict). The delivered
-        // pair is the wire-head conservation check.
-        STR_FIELD("sync_mode", sim::syncModeName(r.result.syncMode)),
-        NUM_FIELD("skew_bound",
-                  static_cast<std::uint64_t>(r.result.skewBound)),
-        NUM_FIELD("max_observed_skew", r.result.maxObservedSkew),
-        NUM_FIELD("mean_observed_skew", r.result.meanObservedSkew),
-        NUM_FIELD("late_arrivals", r.result.lateArrivals),
-        NUM_FIELD("late_credits", r.result.lateCredits),
-        NUM_FIELD("late_displacement_ticks",
-                  r.result.lateDisplacementTicks),
-        NUM_FIELD("max_late_displacement",
-                  r.result.maxLateDisplacement),
+        // Wire-head conservation check: equals the transferred census
+        // after a drained cycle-fidelity run.
         NUM_FIELD("wire_flits_delivered", r.result.wireFlitsDelivered),
         NUM_FIELD("wire_bytes_delivered", r.result.wireBytesDelivered),
     };

@@ -11,20 +11,8 @@ keyOf(const Job &job)
 CacheKey
 keyOf(const Job &job, flow::Fidelity fidelity)
 {
-    return keyOf(job, fidelity, sim::SyncPolicy{});
-}
-
-CacheKey
-keyOf(const Job &job, flow::Fidelity fidelity,
-      const sim::SyncPolicy &sync)
-{
-    // Strict keys normalize the skew bound to 0: the bound is inert
-    // under Strict, and two Strict requests with different (unused)
-    // bounds must share one cache entry.
-    const Tick bound =
-        sync.mode == sim::SyncMode::Relaxed ? sync.skewBound : 0;
     return CacheKey{job.workload, job.config.digest(), job.scale,
-                    job.serve.digest(), fidelity, sync.mode, bound};
+                    job.serve.digest(), fidelity};
 }
 
 harness::RunResult

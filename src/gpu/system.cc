@@ -34,14 +34,12 @@ MultiGpuSystem::MultiGpuSystem(const config::SystemConfig &cfg,
                                unsigned shards,
                                const obs::TraceOptions &trace,
                                const sim::ExecPolicy &exec,
-                               flow::Fidelity fidelity,
-                               const sim::SyncPolicy &sync)
+                               flow::Fidelity fidelity)
     : cfg_(cfg), fidelity_(fidelity),
       engine_(validateShards(cfg, shards), exec),
       pageTable_(cfg.numGpus())
 {
     cfg_.validate();
-    engine_.setSyncPolicy(sync);
     if (fidelity_ != flow::Fidelity::Cycle && engine_.numShards() > 1) {
         NC_FATAL("fidelity=", flow::fidelityName(fidelity_),
                  " requires a serial system; the flow lane schedules "
@@ -774,20 +772,6 @@ MultiGpuSystem::collectStats() const
     reg.counter("sharded.residualStallTicks")
         .inc(engine_.residualStallTicks());
     reg.average("sharded.loadSpreadAvg").merge(engine_.loadSpreadAvg());
-    reg.counter("sharded.skewBound").inc(
-        engine_.syncMode() == sim::SyncMode::Relaxed
-            ? engine_.syncPolicy().skewBound
-            : 0);
-    reg.counter("sharded.maxObservedSkew").inc(engine_.maxObservedSkew());
-    reg.average("sharded.observedSkewAvg").merge(engine_.skewAvg());
-    reg.counter("sharded.lateSlottedFlits")
-        .inc(network_->lateSlottedFlits());
-    reg.counter("sharded.lateSlottedCredits")
-        .inc(network_->lateSlottedCredits());
-    reg.counter("sharded.lateDisplacementTicks")
-        .inc(network_->lateDisplacementTicks());
-    reg.counter("sharded.maxLateDisplacement")
-        .inc(network_->maxLateDisplacement());
     reg.counter("network.interClusterFlitsDelivered")
         .inc(network_->interClusterFlitsDelivered());
     reg.counter("network.interClusterBytesDelivered")

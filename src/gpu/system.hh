@@ -73,23 +73,13 @@ class MultiGpuSystem : public workloads::PlacementDirectory
      * execution property like the shard count: it is not part of the
      * configuration digest, but results may differ slightly from
      * Cycle, so experiment caches key on it separately.
-     *
-     * @p sync selects the barrier protocol (sim::SyncPolicy): Strict
-     * (the default) keeps conservative windows and bit-identity across
-     * shard counts; Relaxed lets shards free-run up to the policy's
-     * skew bound past the slowest shard, trading bounded timing
-     * displacement on cross-shard arrivals for far fewer barrier
-     * rendezvous. Like fidelity, it is an accuracy knob: not part of
-     * the configuration digest, keyed separately by experiment caches,
-     * and audited by tools/audit-skew.
      */
     explicit MultiGpuSystem(const config::SystemConfig &cfg,
                             unsigned shards = 1,
                             const obs::TraceOptions &trace = {},
                             const sim::ExecPolicy &exec = {},
                             flow::Fidelity fidelity =
-                                flow::Fidelity::Cycle,
-                            const sim::SyncPolicy &sync = {});
+                                flow::Fidelity::Cycle);
     ~MultiGpuSystem() override;
 
     /**

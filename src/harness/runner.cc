@@ -129,16 +129,6 @@ collectSystemStats(RunResult &r, gpu::MultiGpuSystem &system,
     r.poolArenaBytes = packet_pool.arenaBytes() + flit_pool.arenaBytes();
     r.smallFnHeapAllocs = sim::SmallFn::heapAllocations();
 
-    r.syncMode = engines.syncMode();
-    r.skewBound = r.syncMode == sim::SyncMode::Relaxed
-                      ? engines.syncPolicy().skewBound
-                      : 0;
-    r.maxObservedSkew = engines.maxObservedSkew();
-    r.meanObservedSkew = engines.skewAvg().mean();
-    r.lateArrivals = system.network().lateSlottedFlits();
-    r.lateCredits = system.network().lateSlottedCredits();
-    r.lateDisplacementTicks = system.network().lateDisplacementTicks();
-    r.maxLateDisplacement = system.network().maxLateDisplacement();
     r.wireFlitsDelivered =
         system.network().interClusterFlitsDelivered();
     r.wireBytesDelivered =
@@ -297,24 +287,12 @@ runWorkload(const std::string &workload_name,
             unsigned shards, const obs::TraceOptions &trace,
             const sim::ExecPolicy &exec, flow::Fidelity fidelity)
 {
-    return runWorkload(workload_name, cfg, scale, shards, trace, exec,
-                       fidelity, config::syncPolicyFromEnv());
-}
-
-RunResult
-runWorkload(const std::string &workload_name,
-            const config::SystemConfig &cfg, double scale,
-            unsigned shards, const obs::TraceOptions &trace,
-            const sim::ExecPolicy &exec, flow::Fidelity fidelity,
-            const sim::SyncPolicy &sync)
-{
     obs::Telemetry::instance().ensureStartedFromEnv();
     const auto t_start = std::chrono::steady_clock::now();
     const std::uint64_t warn0 = netcrafter::suppressedWarnCount();
 
     auto workload = workloads::makeWorkload(workload_name);
-    gpu::MultiGpuSystem system(cfg, shards, trace, exec, fidelity,
-                               sync);
+    gpu::MultiGpuSystem system(cfg, shards, trace, exec, fidelity);
     system.run(*workload, scale * envScale());
 
     RunResult r;
@@ -361,24 +339,12 @@ runServe(const serve::ServeConfig &serve,
          unsigned shards, const obs::TraceOptions &trace,
          const sim::ExecPolicy &exec, flow::Fidelity fidelity)
 {
-    return runServe(serve, cfg, scale, shards, trace, exec, fidelity,
-                    config::syncPolicyFromEnv());
-}
-
-RunResult
-runServe(const serve::ServeConfig &serve,
-         const config::SystemConfig &cfg, double scale,
-         unsigned shards, const obs::TraceOptions &trace,
-         const sim::ExecPolicy &exec, flow::Fidelity fidelity,
-         const sim::SyncPolicy &sync)
-{
     NC_ASSERT(serve.enabled, "runServe with serving disabled");
     obs::Telemetry::instance().ensureStartedFromEnv();
     const auto t_start = std::chrono::steady_clock::now();
     const std::uint64_t warn0 = netcrafter::suppressedWarnCount();
 
-    gpu::MultiGpuSystem system(cfg, shards, trace, exec, fidelity,
-                               sync);
+    gpu::MultiGpuSystem system(cfg, shards, trace, exec, fidelity);
     serve::ServeSession session(system, serve, scale * envScale());
     const serve::ServeReport report = session.run();
     if (report.status != sim::RunStatus::Drained) {

@@ -253,40 +253,7 @@ struct RunResult
     std::uint64_t flowMd1WaitTicks = 0;
     std::uint64_t flowFifoWaitTicks = 0;
 
-    // Relaxed-sync census. Like fidelity, the sync mode is run
-    // metadata that CAN change measurements: a Relaxed run with skew
-    // bound S approximates the Strict timing (the skew auditor bounds
-    // the error), so results from different sync policies must never
-    // be conflated — exp::ResultCache keys on both fields. All the
-    // skew counters are zero under Strict. ----------------------------
-    /** Synchronization mode the run executed under. */
-    sim::SyncMode syncMode = sim::SyncMode::Strict;
-
-    /** Skew bound S in ticks (0 when Strict: shards never diverge). */
-    Tick skewBound = 0;
-
-    /** Max observed shard-clock skew at any rendezvous, ticks. Always
-     *  <= skewBound by construction. */
-    std::uint64_t maxObservedSkew = 0;
-
-    /** Mean observed skew over rendezvous rounds, ticks. */
-    double meanObservedSkew = 0;
-
-    /** Cross-shard flit arrivals whose departure-stamped arrival tick
-     *  was already in the receiver's past and were slotted at the
-     *  receiver's current tick instead (per-channel FIFO preserved). */
-    std::uint64_t lateArrivals = 0;
-
-    /** Late-slotted reverse-direction credit returns (see above). */
-    std::uint64_t lateCredits = 0;
-
-    /** Summed tick displacement of late-slotted arrivals: how far
-     *  forward the slots moved in total. */
-    std::uint64_t lateDisplacementTicks = 0;
-
-    /** Largest single late-slot displacement, ticks. */
-    std::uint64_t maxLateDisplacement = 0;
-
+    // Wire-head conservation census ------------------------------------
     /** Inter-cluster flits delivered at wire heads (conservation
      *  check: equals interFlits after a drained cycle-fidelity run —
      *  flow-lane synthetic flits are credited, not delivered). */
@@ -370,23 +337,6 @@ RunResult runWorkload(const std::string &workload_name,
                       flow::Fidelity fidelity);
 
 /**
- * As above, additionally pinning the synchronization policy instead of
- * the validated NETCRAFTER_SYNC / NETCRAFTER_SKEW_BOUND environment
- * the fidelity overload consults (unset = Strict). Like fidelity, the
- * sync policy is run metadata: Relaxed runs approximate the Strict
- * measurement within the audited error budget, so results from
- * different policies must never be conflated — exp::ResultCache keys
- * on it. Relaxed runs are reproducible for a fixed (workload, config,
- * shards, skew bound) across thread counts and steal policies.
- */
-RunResult runWorkload(const std::string &workload_name,
-                      const config::SystemConfig &cfg, double scale,
-                      unsigned shards, const obs::TraceOptions &trace,
-                      const sim::ExecPolicy &exec,
-                      flow::Fidelity fidelity,
-                      const sim::SyncPolicy &sync);
-
-/**
  * Run one open-loop serving scenario (@p serve must be enabled) on a
  * system built from @p cfg and fill the serve_* fields alongside every
  * ordinary measurement. The result's workload name is
@@ -414,15 +364,6 @@ RunResult runServe(const serve::ServeConfig &serve,
                    unsigned shards, const obs::TraceOptions &trace,
                    const sim::ExecPolicy &exec,
                    flow::Fidelity fidelity);
-
-/** As above with an explicit sync policy (see the runWorkload
- *  overload). */
-RunResult runServe(const serve::ServeConfig &serve,
-                   const config::SystemConfig &cfg, double scale,
-                   unsigned shards, const obs::TraceOptions &trace,
-                   const sim::ExecPolicy &exec,
-                   flow::Fidelity fidelity,
-                   const sim::SyncPolicy &sync);
 
 /** Geometric mean of a sequence of positive ratios. */
 double geomean(const std::vector<double> &xs);

@@ -215,24 +215,10 @@ WireChannel::importAtDst()
             flit->stitched.push_back(std::move(sp));
         }
         ++flitsRematerialized_;
-        // Late-slot rule (relaxed sync): an arrival whose wire tick is
-        // already in this shard's past lands at the current tick
-        // instead (now + 1 — wire events must be strictly future).
-        // Sealed arrivals are monotonic in departure order and the
-        // clamp is a max against a constant, so per-channel FIFO order
-        // survives; the flit itself is always delivered, so packet and
-        // byte conservation are exact. Under Strict the conservative
-        // window makes the clamp a no-op.
-        const Tick slot = std::max(wire.arrival, dstEngine_.now() + 1);
-        if (slot > wire.arrival) {
-            ++lateSlottedFlits_;
-            lateDisplacementTicks_ += slot - wire.arrival;
-            maxLateDisplacement_ =
-                std::max<std::uint64_t>(maxLateDisplacement_,
-                                        slot - wire.arrival);
-        }
+        // The conservative window keeps every sealed arrival strictly
+        // in this shard's future; scheduleWireAbs asserts it.
         dstEngine_.scheduleWireAbs(
-            slot, [this, f = std::move(flit)]() mutable {
+            wire.arrival, [this, f = std::move(flit)]() mutable {
                 deliver(std::move(f));
             });
     }
@@ -242,18 +228,8 @@ WireChannel::importAtDst()
 void
 WireChannel::importAtSrc()
 {
-    for (Tick when : creditSealed_) {
-        // Same late-slot rule as importAtDst, for credit returns that
-        // chase a source shard already running ahead of them.
-        const Tick slot = std::max(when, srcEngine_.now() + 1);
-        if (slot > when) {
-            ++lateSlottedCredits_;
-            lateDisplacementTicks_ += slot - when;
-            maxLateDisplacement_ = std::max<std::uint64_t>(
-                maxLateDisplacement_, slot - when);
-        }
-        srcEngine_.scheduleWireAbs(slot, [this] { creditArrive(); });
-    }
+    for (Tick when : creditSealed_)
+        srcEngine_.scheduleWireAbs(when, [this] { creditArrive(); });
     creditSealed_.clear();
 }
 

@@ -333,13 +333,6 @@ writeHostChromeTrace(const sim::ShardedEngine &engine, std::ostream &os)
         writer.counter(kHostPid, "round_load_spread",
                        round.hostTime * 1e6, "events",
                        static_cast<double>(round.loadSpread));
-        // Relaxed-sync runs get a skew track; strict traces stay
-        // byte-identical to the pre-relaxed format.
-        if (engine.syncMode() == sim::SyncMode::Relaxed) {
-            writer.counter(kHostPid, "round_observed_skew",
-                           round.hostTime * 1e6, "ticks",
-                           static_cast<double>(round.maxSkew));
-        }
         // Host-time self-profiling: cumulative per-phase seconds at
         // each barrier round, one counter track per phase. All-zero
         // rounds (profiling unarmed) are skipped so untouched traces

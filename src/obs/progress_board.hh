@@ -185,7 +185,6 @@ class ProgressBoard
     std::atomic<std::uint64_t> stallTicks{0};
     std::atomic<std::uint64_t> stealsWon{0};
     std::atomic<std::uint64_t> idleParks{0};
-    std::atomic<std::uint64_t> maxSkew{0};
 
   private:
     struct alignas(64) PhaseRow

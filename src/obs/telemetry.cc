@@ -307,8 +307,6 @@ Telemetry::emitHeartbeat(std::ostream *file, double host_seconds)
            << b.stealsWon.load(std::memory_order_relaxed)
            << ",\"idle_parks\":"
            << b.idleParks.load(std::memory_order_relaxed)
-           << ",\"max_skew\":"
-           << b.maxSkew.load(std::memory_order_relaxed)
            << ",\"serve_inflight\":" << b.totalServeInflight()
            << ",\"flow_lanes_active\":" << b.totalFlowLanesActive()
            << ",\"shards\":[";

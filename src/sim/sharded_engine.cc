@@ -12,11 +12,9 @@ namespace netcrafter::sim {
 
 namespace {
 
-/** Bounded-window widths, bucketed relative to the default fixed
- *  quantum of 16 ticks (cfg.interLinkLatency). */
+/** Bounded-window widths, bucketed relative to the default
+ *  inter-cluster wire latency of 16 ticks (cfg.interLinkLatency). */
 const std::vector<double> kWindowBuckets = {16, 64, 256, 4096};
-
-std::atomic<LookaheadMode> defaultMode{LookaheadMode::Adaptive};
 
 /** a + b saturating at kTickNever (either operand may be the sentinel). */
 Tick
@@ -26,28 +24,6 @@ satAdd(Tick a, Tick b)
 }
 
 } // namespace
-
-void
-setDefaultLookaheadMode(LookaheadMode mode)
-{
-    defaultMode.store(mode, std::memory_order_relaxed);
-}
-
-LookaheadMode
-defaultLookaheadMode()
-{
-    return defaultMode.load(std::memory_order_relaxed);
-}
-
-const char *
-syncModeName(SyncMode mode)
-{
-    switch (mode) {
-      case SyncMode::Strict: return "strict";
-      case SyncMode::Relaxed: return "relaxed";
-    }
-    return "(invalid)";
-}
 
 /**
  * Shared state of one parallel drain. The quantum barrier is a single
@@ -81,8 +57,8 @@ struct ShardedEngine::Coordination
         : door(new std::atomic<std::uint64_t>[threads]),
           claim(new std::atomic<std::uint64_t>[shards]),
           nextTick(shards, kTickNever), lower(shards, kTickNever),
-          load(shards, 0), active(shards, 0), resume(shards, 0),
-          ledger(shards, 0), woken(threads, 0)
+          load(shards, 0), active(shards, 0), ledger(shards, 0),
+          woken(threads, 0)
     {
         for (unsigned t = 0; t < threads; ++t)
             door[t].store(0, std::memory_order_relaxed);
@@ -113,18 +89,6 @@ struct ShardedEngine::Coordination
     std::vector<Tick> lower;
     std::vector<std::uint64_t> load;
     std::vector<char> active;
-
-    /** Per-shard resume point (last executed tick + 1, floored at the
-     *  window start) published by each unit's executor under a bounded
-     *  relaxed window; the next decide() settles the round's
-     *  rendezvous-wait stall from these. */
-    std::vector<Tick> resume;
-
-    /** Whether the previous round's rendezvous-wait stall has been
-     *  charged; cleared each time a bounded relaxed window is issued
-     *  so the settle runs exactly once per such round, even across
-     *  run() calls. */
-    char stallSettled = 1;
 
     /** Steal-eligible active shards, most-loaded first (shard id as
      *  the tie-break); only the first ledgerSize entries are valid.
@@ -216,13 +180,6 @@ ShardedEngine::registerPort(CrossShardPort &port)
         std::min(minOutLatency_[port.dstShard()], port.minLatency());
 }
 
-void
-ShardedEngine::setLookahead(Tick ticks)
-{
-    NC_ASSERT(ticks >= 1, "conservative lookahead must be >= 1 tick");
-    lookahead_ = ticks;
-}
-
 /**
  * Round coordinator: every woken thread of the previous round has
  * finished its claims and arrived; every other thread is parked on its
@@ -265,54 +222,6 @@ ShardedEngine::decide() noexcept
     for (unsigned s = 0; s < n; ++s)
         m = std::min(m, c.lower[s]);
 
-    // Settle the previous bounded relaxed round's stall. A widened
-    // window is a free-run region, not a tick fence: the round ends
-    // when the slowest participant drains, so a shard stalls only
-    // while it is parked at the rendezvous WITH runnable work pending
-    // — from when its next work is ready (its own queue or a sealed
-    // arrival, the same signal the strict active-set uses to grant
-    // idle parks) until the laggard's resume point releases the round.
-    // Ticks parked with an empty horizon are idle-park time, not
-    // barrier tax, exactly as strict mode scores them. (Strict and
-    // skew-bound-0 rounds keep the window-tail accounting in
-    // execUnit; unbounded drain-ahead windows count nothing, as
-    // before.) The laggard is only known once every unit retires,
-    // hence the deferred charge here, under the coordinator's
-    // exclusive access and after the lower bounds are current.
-    if (!c.stallSettled) {
-        c.stallSettled = 1;
-        Tick lead = 0;
-        for (unsigned s = 0; s < n; ++s)
-            if (c.active[s])
-                lead = std::max(lead, c.resume[s]);
-        for (unsigned s = 0; s < n; ++s) {
-            if (!c.active[s])
-                continue;
-            const Tick ready = std::max(c.resume[s], c.lower[s]);
-            if (ready < lead)
-                stallTicks_[s] += lead - ready;
-        }
-    }
-
-    // Observed skew: how far the leading shard's clock ran past the
-    // epoch floor the previous (bounded) window allowed. Sampled under
-    // the coordinator's exclusive access — every executor's engine
-    // writes happen-before this read via the arrival countdown. Strict
-    // windows keep every clock at or below the next floor, so the
-    // sample stream is all-zero there; unbounded drain-ahead windows
-    // are skipped (no cross-shard traffic is possible inside them, so
-    // there is no skew to bound).
-    std::uint64_t observed_skew = 0;
-    if (sync_.mode == SyncMode::Relaxed && m != kTickNever &&
-        c.round > 0 && c.windowEnd != kTickNever) {
-        Tick lead = 0;
-        for (unsigned s = 0; s < n; ++s)
-            lead = std::max(lead, engines_[s]->now());
-        observed_skew = lead > m ? lead - m : 0;
-        maxObservedSkew_ = std::max(maxObservedSkew_, observed_skew);
-        skewAvg_.sample(static_cast<double>(observed_skew));
-    }
-
     if (m == kTickNever || m > c.limit) {
         c.status =
             m == kTickNever ? RunStatus::Drained : RunStatus::LimitHit;
@@ -326,48 +235,24 @@ ShardedEngine::decide() noexcept
         return;
     }
 
-    Tick window_end;
-    if (mode_ == LookaheadMode::Adaptive) {
-        // Shard s cannot execute anything before lower[s], hence
-        // cannot put anything on a wire before lower[s] either; the
-        // earliest it can affect another shard is lower[s] + L_s with
-        // L_s the fastest channel leaving it. Shards that cannot emit
-        // impose no bound — when nobody can, everyone drains ahead in
-        // one unbounded stride.
-        window_end = kTickNever;
-        for (unsigned s = 0; s < n; ++s) {
-            if (minOutLatency_[s] == kTickNever)
-                continue;
-            const Tick horizon = satAdd(c.lower[s], minOutLatency_[s]);
-            if (horizon != kTickNever)
-                window_end = std::min(window_end, horizon - 1);
-        }
-    } else {
-        // The PR 3 bound: a static quantum of the global minimum
-        // cross-shard latency above the global minimum pending tick.
-        window_end = satAdd(m, lookahead_ - 1);
-    }
-    if (sync_.mode == SyncMode::Relaxed) {
-        // Bounded-skew epoch: widen the window so every shard may
-        // free-run up to skewBound ticks past the epoch floor m. Taking
-        // the max against the conservative bound keeps skewBound = 0
-        // bit-identical to Strict, and wider bounds replace ~S/L
-        // conservative rounds with one rendezvous. Arrivals generated
-        // inside the widened window can land in a receiver's past;
-        // importAtDst slots them at the receiver's current tick, which
-        // is what caps the displacement at the skew bound.
-        window_end = std::max(window_end, satAdd(m, sync_.skewBound));
+    // Shard s cannot execute anything before lower[s], hence cannot
+    // put anything on a wire before lower[s] either; the earliest it
+    // can affect another shard is lower[s] + L_s with L_s the fastest
+    // channel leaving it. Shards that cannot emit impose no bound —
+    // when nobody can, everyone drains ahead in one unbounded stride.
+    Tick window_end = kTickNever;
+    for (unsigned s = 0; s < n; ++s) {
+        if (minOutLatency_[s] == kTickNever)
+            continue;
+        const Tick horizon = satAdd(c.lower[s], minOutLatency_[s]);
+        if (horizon != kTickNever)
+            window_end = std::min(window_end, horizon - 1);
     }
     window_end = std::min(window_end, c.limit);
     NC_ASSERT(window_end >= m, "quantum window excludes its own start");
 
     c.windowStart = m;
     c.windowEnd = window_end;
-    c.stallSettled = sync_.mode == SyncMode::Relaxed &&
-                             sync_.skewBound > 0 &&
-                             window_end != kTickNever
-                         ? 0
-                         : 1;
     ++quantaExecuted_;
     if (window_end != kTickNever) {
         const double width = static_cast<double>(window_end - m + 1);
@@ -377,22 +262,13 @@ ShardedEngine::decide() noexcept
 
     // Active set: shards with anything runnable inside the window.
     // Everyone else sleeps through the round — no spinning through
-    // empty quanta, no barrier slot. The fixed-Q baseline keeps the
-    // PR 3 cost model instead: every shard runs every round and pays
-    // the full window-tail stall, which is exactly the
-    // synchronization tax BENCH_parallel.json measures.
+    // empty quanta, no barrier slot.
     std::uint32_t actives = 0;
-    if (mode_ == LookaheadMode::Adaptive) {
-        for (unsigned s = 0; s < n; ++s) {
-            c.active[s] = c.lower[s] <= window_end ? 1 : 0;
-            actives += static_cast<std::uint32_t>(c.active[s]);
-        }
-        idleParks_ += n - actives;
-    } else {
-        for (unsigned s = 0; s < n; ++s)
-            c.active[s] = 1;
-        actives = n;
+    for (unsigned s = 0; s < n; ++s) {
+        c.active[s] = c.lower[s] <= window_end ? 1 : 0;
+        actives += static_cast<std::uint32_t>(c.active[s]);
     }
+    idleParks_ += n - actives;
 
     // Donor/thief imbalance: the published-backlog spread over the
     // round's units is the headroom stealing can exploit. Published
@@ -462,8 +338,7 @@ ShardedEngine::decide() noexcept
     publishRound();
 
     if (hostTimeline_) {
-        RoundRecord rec{c.round, hostSeconds(), actives, woken, spread,
-                        observed_skew};
+        RoundRecord rec{c.round, hostSeconds(), actives, woken, spread};
         if (profiling_) {
             for (unsigned p = 0; p < obs::kPhaseCount; ++p)
                 rec.phaseSeconds[p] =
@@ -523,20 +398,12 @@ ShardedEngine::execUnit(unsigned s, unsigned t)
 
     // Idle ticks at the window tail: the window forced this shard to
     // wait even though it had nothing left to simulate. An unbounded
-    // drain-ahead window has no tail by construction, and a bounded
-    // relaxed window is a free-run region whose rendezvous-wait stall
-    // only settles at the next decide(), once the round's laggard is
-    // known — publish the resume point for it instead of charging the
-    // (mostly fictional) tick-fence tail here.
+    // drain-ahead window has no tail by construction.
     std::uint64_t stall = 0;
     if (window_end != kTickNever) {
         const Tick resume = std::max(engine.now() + 1, c.windowStart);
-        if (sync_.mode == SyncMode::Relaxed && sync_.skewBound > 0) {
-            c.resume[s] = resume;
-        } else {
-            stall = (window_end + 1) - std::min(window_end + 1, resume);
-            stallTicks_[s] += stall;
-        }
+        stall = (window_end + 1) - std::min(window_end + 1, resume);
+        stallTicks_[s] += stall;
     }
 
     if (hostTimeline_) {
@@ -858,7 +725,6 @@ ShardedEngine::publishRound()
     board_.windowEnd.store(c.windowEnd, std::memory_order_relaxed);
     board_.quanta.store(quantaExecuted_, std::memory_order_relaxed);
     board_.idleParks.store(idleParks_, std::memory_order_relaxed);
-    board_.maxSkew.store(maxObservedSkew_, std::memory_order_relaxed);
 
     // The executors' tallies are plain words, but every executor's
     // writes happen-before the coordinator via the thread-counted

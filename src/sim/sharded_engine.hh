@@ -10,27 +10,25 @@
  * only cross-shard traffic flows through latency-L wire channels
  * (noc::WireChannel). A flit departing at tick T arrives at T+L, so a
  * window is safe as long as nothing sent inside it can arrive inside
- * it. Two window policies exist (LookaheadMode):
+ * it.
  *
- *  - Fixed: the PR 3 bound. With Q = min(L) over every cross-shard
- *    channel, the window [m, m+Q-1] (m = global minimum pending tick)
- *    is safe: departure T >= m  =>  arrival T+L >= m+Q.
- *
- *  - Adaptive (default): per-quantum, per-shard. Shard s cannot execute
- *    anything before its earliest runnable tick N_s (its next pending
- *    event, or the earliest sealed cross-shard arrival addressed to
- *    it), so it cannot put anything on a wire before N_s either; the
- *    earliest tick at which shard s can make another shard's state
- *    change is N_s + L_s, where L_s is the minimum latency over the
- *    channels leaving s (flits it sources, credits it returns). The
- *    window [m, min_s(N_s + L_s) - 1] is therefore safe, and it is
- *    never smaller than the fixed window because N_s >= m and
- *    L_s >= Q. When no shard can emit at all (no registered channels
- *    leave it), the bound is infinite and every shard drains in one
- *    stride. Both inputs (N_s from the published next-event ticks and
- *    sealed mailboxes, L_s from registration-time channel latencies)
- *    are pre-barrier state computed once by the round coordinator, so
- *    every shard observes the same window: determinism is preserved.
+ * Window rule: shard s cannot execute anything before its earliest
+ * runnable tick N_s (its next pending event, or the earliest sealed
+ * cross-shard arrival addressed to it), so it cannot put anything on a
+ * wire before N_s either; the earliest tick at which shard s can make
+ * another shard's state change is N_s + L_s, where L_s is the minimum
+ * latency over the channels leaving s (flits it sources, credits it
+ * returns). With m the global minimum of N_s, the window
+ * [m, min_s(N_s + L_s) - 1] is therefore safe, and it always spans at
+ * least min_s(L_s) ticks because N_s >= m. When no shard can emit at
+ * all (no registered channels leave it), the bound is infinite and
+ * every shard drains in one stride. Both inputs (N_s from the
+ * published next-event ticks and sealed mailboxes, L_s from
+ * registration-time channel latencies) are pre-barrier state computed
+ * once by the round coordinator, so every shard observes the same
+ * window: determinism is preserved. A sealed arrival is scheduled at
+ * its own wire tick, which the window rule places strictly after the
+ * receiver's clock (Engine::scheduleWireAbs asserts it).
  *
  * Execution model (PR 7): shards are deterministic work *partitions*,
  * host threads are *executors*, and the two are decoupled by
@@ -59,12 +57,11 @@
  * per thread. The last thread to finish becomes the coordinator: it
  * seals every channel's outbox, picks the next window, chooses the
  * active shard set, builds the steal ledger, and rings the doorbells of
- * exactly the threads that have (or may steal) work. Parked shards cost
- * nothing (idleParks()); rounds with a single participating thread skip
- * the rendezvous entirely (barrierRoundsSkipped()). FixedQuantum mode
- * deliberately keeps the PR 3 cost model — every shard executes every
- * round and accrues the full window-tail stall — so benchmarks can
- * quantify the synchronization tax against an unchanged baseline.
+ * exactly the threads that have (or may steal) work. Only shards with
+ * something runnable inside the window take part in a round; the rest
+ * stay parked at no cost (idleParks()), and rounds with a single
+ * participating thread skip the rendezvous entirely
+ * (barrierRoundsSkipped()).
  *
  * Stall accounting: barrierStallTicks keeps its PR 3/5 meaning — idle
  * sim-ticks at the tails of windows a shard participated in. Stealing
@@ -76,20 +73,6 @@
  * the stall that still manifests as host idle time. Steal counters and
  * coverage depend on host scheduling and are diagnostics, never
  * measurements.
- *
- * Bounded relaxed windows (SyncMode::Relaxed with a non-zero skew
- * bound) are free-run regions, not tick fences, so the window-tail
- * rule would score fictional idleness there: a wide window's tail is
- * not a wait, because the round ends when its slowest participant
- * drains. Those rounds instead settle their stall at the next
- * decide(), once the laggard is known: each active shard is charged
- * from the tick its next runnable work existed (its own queue or a
- * sealed arrival — the same signal the strict active set uses to
- * grant idle parks) to the laggard's resume point. Ticks parked with
- * an empty horizon score zero, exactly as strict idle parks do, which
- * keeps the strict and relaxed stall columns comparable. The charge
- * is a pure function of pre-barrier simulation state, so it is
- * executor- and steal-policy-invariant like every other measurement.
  */
 
 #ifndef NETCRAFTER_SIM_SHARDED_ENGINE_HH
@@ -111,76 +94,6 @@
 #include "src/stats/stats.hh"
 
 namespace netcrafter::sim {
-
-/** How the sharded engine bounds each conservative window. */
-enum class LookaheadMode : std::uint8_t
-{
-    /** Static window of min-channel-latency ticks (the PR 3 bound). */
-    FixedQuantum,
-    /** Per-quantum window from each shard's earliest possible
-     *  cross-shard departure (next-event tick + min outgoing wire
-     *  latency). Never smaller than the fixed window; bit-identical
-     *  results. */
-    Adaptive,
-};
-
-/** Process-wide default mode newly built ShardedEngines start in. */
-void setDefaultLookaheadMode(LookaheadMode mode);
-LookaheadMode defaultLookaheadMode();
-
-/** How strictly the barrier protocol bounds cross-shard clock skew. */
-enum class SyncMode : std::uint8_t
-{
-    /**
-     * Conservative windows only (PR 3/5): nothing sent inside a window
-     * can arrive inside it, so results are bit-identical to serial
-     * execution at every shard count.
-     */
-    Strict,
-
-    /**
-     * Graphite-style bounded-skew free-running: each round's window is
-     * widened to at least skewBound ticks past the slowest shard, so a
-     * leading shard may run ahead of a cross-shard arrival addressed to
-     * it. Such late arrivals are slotted at the receiver's current tick
-     * (per-channel FIFO order and packet/byte conservation still hold
-     * exactly — see noc::WireChannel::importAtDst). The doorbell
-     * barrier degrades into a periodic epoch rendezvous used only for
-     * skew-bound enforcement, ingress, and steal-ledger refresh.
-     * Reproducible for a fixed (seed, shards, threads, skew bound) —
-     * the epoch schedule is a pure function of pre-barrier sim state,
-     * so it is executor-invariant like the strict protocol — but NOT
-     * bit-identical to Strict; tools/audit-skew measures the accuracy
-     * cost. A skew bound of 0 degenerates to exactly Strict.
-     */
-    Relaxed,
-};
-
-/** Stable lower-case name for a sync mode ("strict"/"relaxed"). */
-const char *syncModeName(SyncMode mode);
-
-/**
- * Synchronization policy of a sharded run: the mode plus the skew bound
- * S (in ticks) a Relaxed run may let a shard free-run past the slowest
- * shard. Ignored (and harmless) when the mode is Strict or the system
- * has one shard.
- */
-struct SyncPolicy
-{
-    SyncMode mode = SyncMode::Strict;
-
-    /**
-     * Maximum ticks a shard may lead the slowest shard in Relaxed mode.
-     * Each epoch window covers [m, max(adaptive_end, m + skewBound)],
-     * so 0 reproduces the strict window exactly and larger bounds trade
-     * rendezvous rounds for timing displacement on late arrivals. The
-     * default equals interLinkLatency — the largest bound the committed
-     * VALIDATE_relaxed.json certifies within the 2% error budget;
-     * tools/audit-skew re-measures the cost of any larger bound (it
-     * grows steeply: see the bench sweep in BENCH_relaxed.json).
-     */
-    Tick skewBound = 16;
-};
 
 /**
  * How a ShardedEngine maps shards (deterministic work partitions) onto
@@ -238,8 +151,7 @@ class CrossShardPort
      * ticks. Both directions for a wire channel (flits towards the
      * destination, credits back to the source) share the channel's
      * flight latency. Feeds the per-shard earliest-departure bound of
-     * the adaptive lookahead; must be >= 1 and constant after
-     * registration.
+     * the window rule; must be >= 1 and constant after registration.
      */
     virtual Tick minLatency() const = 0;
 
@@ -320,10 +232,6 @@ struct RoundRecord
      *  donor/thief imbalance stealing exists to exploit). */
     std::uint64_t loadSpread = 0;
 
-    /** Observed clock skew at this rendezvous (always 0 in Strict
-     *  mode); the per-epoch sample behind maxObservedSkew(). */
-    std::uint64_t maxSkew = 0;
-
     /** Cumulative per-phase host seconds (summed over threads) at the
      *  time the round was decided; zeros unless self-profiling is
      *  armed. Feeds the host-trace phase counter tracks. */
@@ -367,47 +275,6 @@ class ShardedEngine
     void registerPort(CrossShardPort &port);
 
     /**
-     * Set the fixed conservative lookahead: the minimum latency over
-     * all cross-shard channels, in ticks. Defaults to kTickNever (no
-     * cross-shard traffic possible, a drain runs as one window). Used
-     * directly by LookaheadMode::FixedQuantum; Adaptive derives its
-     * (never smaller) bound from the registered ports instead.
-     */
-    void setLookahead(Tick ticks);
-
-    /** The current fixed lookahead. */
-    Tick lookahead() const { return lookahead_; }
-
-    /** Select the window policy (default: the process-wide default). */
-    void setLookaheadMode(LookaheadMode mode) { mode_ = mode; }
-    LookaheadMode lookaheadMode() const { return mode_; }
-
-    /**
-     * Select the synchronization policy. Must be set before the first
-     * run(); the mode is part of the result's identity (a Relaxed run
-     * is reproducible but not bit-identical to Strict), so it is fixed
-     * for the engine's lifetime in practice.
-     */
-    void setSyncPolicy(SyncPolicy sync) { sync_ = sync; }
-    const SyncPolicy &syncPolicy() const { return sync_; }
-    SyncMode syncMode() const { return sync_.mode; }
-
-    /**
-     * Largest observed clock skew, in ticks: max over epochs of
-     * (leading shard clock - slowest shard's next runnable tick),
-     * sampled by the coordinator at each bounded-window rendezvous.
-     * Always 0 in Strict mode (conservative windows keep every shard
-     * inside the safe horizon); in Relaxed mode strictly below the
-     * skew bound by construction — the widened window ends at
-     * m + skewBound and the next epoch's floor advances by at least
-     * the minimum cross-shard latency.
-     */
-    std::uint64_t maxObservedSkew() const { return maxObservedSkew_; }
-
-    /** Mean/min/max observed skew over the same per-epoch samples. */
-    const stats::Average &skewAvg() const { return skewAvg_; }
-
-    /**
      * Drain every shard (or stop once the earliest pending event lies
      * beyond @p limit, returning LimitHit like Engine::run). With one
      * shard this is exactly Engine::run on the caller's thread.
@@ -436,10 +303,8 @@ class ShardedEngine
      * which it had no events left — idle time imposed by the
      * conservative window. Deterministic: a pure function of the round
      * protocol, identical for every thread count and steal schedule.
-     * In Adaptive mode, rounds a shard slept through entirely are
-     * counted by idleParks(), not here. In FixedQuantum mode every
-     * shard participates in every round, so this accrues the full PR 3
-     * synchronization tax.
+     * Rounds a shard slept through entirely are counted by
+     * idleParks(), not here.
      */
     std::uint64_t
     barrierStallTicks(unsigned s) const
@@ -483,7 +348,6 @@ class ShardedEngine
      * Rounds that ran without any barrier rendezvous because a single
      * thread participated (the common tail of a run): the coordinator
      * role stays on that thread and no doorbell rendezvous happens.
-     * Always 0 in FixedQuantum mode with more than one thread.
      */
     std::uint64_t barrierRoundsSkipped() const
     {
@@ -493,7 +357,7 @@ class ShardedEngine
     /**
      * Times a shard was left parked through a quantum round because
      * nothing inside the window concerned it (summed over rounds and
-     * shards). Always 0 in FixedQuantum mode.
+     * shards).
      */
     std::uint64_t idleParks() const { return idleParks_; }
 
@@ -615,9 +479,6 @@ class ShardedEngine
 
     std::vector<std::unique_ptr<Engine>> engines_;
     std::vector<CrossShardPort *> ports_;
-    Tick lookahead_ = kTickNever;
-    LookaheadMode mode_ = defaultLookaheadMode();
-    SyncPolicy sync_;
     ExecPolicy exec_;
     unsigned threads_ = 1;
 
@@ -633,8 +494,6 @@ class ShardedEngine
     stats::Distribution windowDist_;
     stats::Average windowAvg_;
     stats::Average loadSpread_;
-    std::uint64_t maxObservedSkew_ = 0;
-    stats::Average skewAvg_;
 
     // Per-thread executor tallies, written only by the owning thread
     // during rounds and read after runs complete.

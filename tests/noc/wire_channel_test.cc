@@ -24,6 +24,9 @@ namespace {
 /** One observed arrival at the sink: (tick, packet id, flit seq). */
 using Arrival = std::tuple<Tick, std::uint64_t, std::uint32_t>;
 
+/** Flight latency of the channel runTraffic() builds. */
+constexpr Tick kWireLatency = 6;
+
 /** Randomized injection schedule shared by the serial and sharded runs. */
 struct Injection
 {
@@ -67,12 +70,10 @@ runTraffic(sim::ShardedEngine &eng, unsigned dst_shard,
     FlitBuffer source(1024);
     FlitBuffer sink(4); // small: forces the credit path to matter
     WireChannel channel(src_eng, dst_eng, "test.wire", source, sink,
-                        /*flits_per_cycle=*/2, /*latency=*/6,
+                        /*flits_per_cycle=*/2, kWireLatency,
                         /*src_shard=*/0, dst_shard);
-    if (channel.crossShard()) {
+    if (channel.crossShard())
         eng.registerPort(channel);
-        eng.setLookahead(channel.latency());
-    }
 
     resetPacketIds();
     std::vector<Arrival> arrivals;
@@ -117,57 +118,41 @@ runTraffic(sim::ShardedEngine &eng, unsigned dst_shard,
 
 TEST(WireChannelOrderingPropertyTest, CrossShardMatchesSerialOrder)
 {
-    // Both window policies must reproduce the serial arrival stream
-    // exactly; the adaptive windows are just (possibly much) wider.
-    for (const sim::LookaheadMode mode :
-         {sim::LookaheadMode::FixedQuantum, sim::LookaheadMode::Adaptive}) {
-        for (std::uint64_t seed : {1ull, 7ull, 1234ull, 99991ull}) {
-            const std::vector<Injection> plan = randomSchedule(seed, 200);
+    // The sharded channel must reproduce the serial arrival stream
+    // exactly.
+    for (std::uint64_t seed : {1ull, 7ull, 1234ull, 99991ull}) {
+        const std::vector<Injection> plan = randomSchedule(seed, 200);
 
-            sim::ShardedEngine serial(1);
-            const std::vector<Arrival> ref = runTraffic(serial, 0, plan);
+        sim::ShardedEngine serial(1);
+        const std::vector<Arrival> ref = runTraffic(serial, 0, plan);
 
-            sim::ShardedEngine sharded(2);
-            sharded.setLookaheadMode(mode);
-            const std::vector<Arrival> got = runTraffic(sharded, 1, plan);
+        sim::ShardedEngine sharded(2);
+        const std::vector<Arrival> got = runTraffic(sharded, 1, plan);
 
-            ASSERT_EQ(ref.size(), plan.size()) << "seed " << seed;
-            EXPECT_EQ(ref, got)
-                << "seed " << seed << " mode "
-                << (mode == sim::LookaheadMode::Adaptive ? "adaptive"
-                                                         : "fixed");
-        }
+        ASSERT_EQ(ref.size(), plan.size()) << "seed " << seed;
+        EXPECT_EQ(ref, got) << "seed " << seed;
     }
 }
 
 TEST(WireChannelOrderingPropertyTest, AdaptiveWindowRespectsWireBound)
 {
     // Safe-window property over real randomized traffic: every bounded
-    // adaptive window must span at least the conservative fixed
-    // quantum Q = min channel latency — i.e. the adaptive bound never
-    // admits a cross-shard delivery earlier than the fixed bound
-    // would, it only postpones barriers. Arrival equality with serial
-    // is asserted by CrossShardMatchesSerialOrder; this checks the
-    // window geometry that equality rests on.
+    // window must span at least the channel latency, the conservative
+    // lookahead no cross-shard delivery can beat. Arrival equality with
+    // serial is asserted by CrossShardMatchesSerialOrder; this checks
+    // the window geometry that equality rests on.
     for (std::uint64_t seed : {3ull, 77ull, 4242ull}) {
         const std::vector<Injection> plan = randomSchedule(seed, 150);
 
         sim::ShardedEngine sharded(2);
-        sharded.setLookaheadMode(sim::LookaheadMode::Adaptive);
         runTraffic(sharded, 1, plan);
 
         ASSERT_GT(sharded.quantaExecuted(), 0u) << "seed " << seed;
         if (sharded.windowTicksAvg().count() > 0) {
             EXPECT_GE(sharded.windowTicksAvg().min(),
-                      static_cast<double>(sharded.lookahead()))
+                      static_cast<double>(kWireLatency))
                 << "seed " << seed;
         }
-
-        sim::ShardedEngine fixed_q(2);
-        fixed_q.setLookaheadMode(sim::LookaheadMode::FixedQuantum);
-        runTraffic(fixed_q, 1, plan);
-        EXPECT_LE(sharded.quantaExecuted(), fixed_q.quantaExecuted())
-            << "seed " << seed;
     }
 }
 
@@ -198,9 +183,8 @@ TEST(WireChannelTest, CrossShardCountersTrackRematerialization)
     FlitBuffer source(1024);
     FlitBuffer sink(1024);
     WireChannel channel(src_eng, dst_eng, "test.wire", source, sink,
-                        2, 6, 0, 1);
+                        2, kWireLatency, 0, 1);
     eng.registerPort(channel);
-    eng.setLookahead(channel.latency());
 
     resetPacketIds();
     std::uint64_t drained = 0;

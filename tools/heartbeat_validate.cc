@@ -70,7 +70,7 @@ validateRecord(const JsonValue &root, std::size_t line,
         for (const char *key :
              {"round", "window_start", "window_end", "quanta",
               "stall_ticks", "steals_won", "idle_parks",
-              "max_skew", "serve_inflight", "flow_lanes_active"}) {
+              "serve_inflight", "flow_lanes_active"}) {
             if (!wantNumber(run, key, line))
                 return false;
         }
