@@ -15,7 +15,7 @@ SweepSpec::add(std::string job_name, std::string workload,
                  "'");
     }
     jobs_.push_back(
-        Job{it->first, std::move(workload), std::move(cfg), scale});
+        Job{it->first, std::move(workload), std::move(cfg), scale, {}});
     return jobs_.back();
 }
 

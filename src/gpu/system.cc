@@ -199,11 +199,13 @@ MultiGpuSystem::auditTeardown() const
         return;
     // After a drain nothing may still wait on anything: a leftover entry
     // is a request whose completion got lost.
-    const auto expectEmpty = [](std::size_t pending,
-                                const std::string &component) {
+    const Tick tick = engine_.now();
+    const auto expectEmpty = [tick](std::size_t pending,
+                                    const std::string &component) {
         if (pending != 0) {
-            NC_PANIC("teardown census: ", component, " still holds ",
-                     pending, " entries after a drained run");
+            NC_PANIC("teardown census at tick ", tick, ": ", component,
+                     " still holds ", pending,
+                     " entries after a drained run");
         }
     };
     for (GpuId g = 0; g < cfg_.numGpus(); ++g) {
@@ -223,9 +225,21 @@ MultiGpuSystem::auditTeardown() const
     }
     for (ClusterId f = 0; f < cfg_.numClusters; ++f) {
         for (ClusterId t = 0; t < cfg_.numClusters; ++t) {
-            const auto *ctrl = f == t ? nullptr : network_->controller(f, t);
+            if (f == t)
+                continue;
+            const auto *ctrl = network_->controller(f, t);
             if (ctrl != nullptr)
                 expectEmpty(ctrl->heldPackets(), ctrl->name());
+            // Every credit must be home: a missing one is a flit still
+            // on the wire or in the sink, or a credit return never
+            // delivered.
+            const noc::WireChannel &ch = network_->interClusterChannel(f, t);
+            if (ch.credits() != ch.sinkCapacity()) {
+                NC_PANIC("teardown census at tick ", tick, ": ", ch.name(),
+                         " holds ", ch.credits(), " of ",
+                         ch.sinkCapacity(),
+                         " credits after a drained run");
+            }
         }
     }
 }

@@ -107,9 +107,11 @@ class MultiGpuSystem : public workloads::PlacementDirectory
      * ports. After a drained run it also checks, serial systems
      * included, that every MSHR file, TLB and GMMU waiter table, RDMA
      * reassembly table, NetCrafter holding area and outstanding-request
-     * table is empty, and panics naming the first component that is
-     * not. A serial run that stopped at its cycle limit is left alone:
-     * its in-flight state is expected and safe to destroy.
+     * table is empty and that every inter-cluster wire channel holds
+     * its sink's capacity in credits, and panics naming the first
+     * component that is not. Every panic names the tick. A serial run
+     * that stopped at its cycle limit is left alone: its in-flight
+     * state is expected and safe to destroy.
      */
     void auditTeardown() const;
 

@@ -114,13 +114,18 @@ Switch::cycle()
         std::uint32_t routed = 0;
         while (routed < port.speed && !port.pipeline.empty() &&
                port.pipeline.front().readyAt <= t) {
-            FlitPtr &flit = port.pipeline.front().flit;
-            std::size_t out_port = routeFor(flit->pkt->dst);
+            PipelineEntry &head = port.pipeline.front();
+            const std::size_t out_port = head.outPort;
             if (outBudget_[out_port] == 0)
                 break;
             Port &out = ports_[out_port];
+            // Stays valid for the tracepoint below: either the pipeline
+            // entry (egress) or the output buffer still owns the flit.
+            const Flit *flit = head.flit.get();
             if (out.egress != nullptr) {
-                if (!out.egress->tryAccept(flit)) {
+                // The processor gets its own handle; ours keeps the flit
+                // alive even if accepting it frees the processor's copy.
+                if (!out.egress->tryAccept(head.flit)) {
                     // Head-of-line blocked; the egress processor wakes
                     // us when it frees space.
                     stalled = true;
@@ -134,18 +139,16 @@ Switch::cycle()
                     port.blockedOnOutput = true;
                     break;
                 }
-                out.out->tryPush(flit);
+                out.out->tryPush(std::move(head.flit));
             }
             --outBudget_[out_port];
             ++flitsRouted_;
             obs::tracepoint(engine(), obs::TraceLevel::Full,
                             obs::TraceKind::PktStage,
                             obs::TraceStage::SwitchRoute, traceLane_,
-                            flit != nullptr && flit->pkt != nullptr
-                                ? flit->pkt->id
-                                : 0,
+                            flit->pkt != nullptr ? flit->pkt->id : 0,
                             static_cast<std::uint32_t>(out_port),
-                            flit != nullptr ? flit->seq : 0);
+                            flit->seq);
             ++routed;
             port.pipeline.pop_front();
         }
@@ -165,18 +168,19 @@ Switch::cycle()
                port.pipeline.size() < pipeline_cap) {
             FlitPtr flit = port.in->pop();
             ++accepted;
+            const Tick ready = t + params_.pipelineLatency;
             if (port.ingress != nullptr) {
                 port.ingress->process(std::move(flit), expanded_);
                 for (auto &f : expanded_) {
+                    const std::size_t out_port = routeFor(f->pkt->dst);
                     port.pipeline.push_back(
-                        PipelineEntry{std::move(f),
-                                      t + params_.pipelineLatency});
+                        PipelineEntry{std::move(f), ready, out_port});
                 }
                 expanded_.clear();
             } else {
+                const std::size_t out_port = routeFor(flit->pkt->dst);
                 port.pipeline.push_back(
-                    PipelineEntry{std::move(flit),
-                                  t + params_.pipelineLatency});
+                    PipelineEntry{std::move(flit), ready, out_port});
             }
         }
     }

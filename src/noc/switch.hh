@@ -111,6 +111,9 @@ class Switch : public sim::SimObject
     {
         FlitPtr flit;
         Tick readyAt = 0;
+        /** Output port, resolved once when the flit enters the
+         *  pipeline (routes are fixed after construction). */
+        std::size_t outPort = 0;
     };
 
     struct Port

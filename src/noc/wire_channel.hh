@@ -76,6 +76,16 @@ class WireChannel : public sim::SimObject, public sim::CrossShardPort
     /** Peak flits/cycle capacity. */
     std::uint32_t flitsPerCycle() const { return flitsPerCycle_; }
 
+    /**
+     * Credits the egress side holds: the sink's capacity minus flits on
+     * the wire, flits waiting in the sink, and credits still flying
+     * back. A drained run must end with credits() == sinkCapacity().
+     */
+    std::size_t credits() const { return credits_; }
+
+    /** Capacity of the sink buffer, which is also the credit limit. */
+    std::size_t sinkCapacity() const { return sink_.capacity(); }
+
     /** Flits put on the wire over the channel's lifetime. */
     std::uint64_t flitsTransferred() const { return flitsTransferred_; }
 

@@ -6,10 +6,10 @@
  *
  * Almost every event a cycle-level model schedules lands within a few
  * cycles of "now" (links and switches wake at now+1, cache lookups a
- * handful of cycles out), so the wheel covers the next kWheelSlots
- * ticks with O(1) push/pop FIFO buckets and a 64-bit occupancy bitmap.
- * Rare long-delay events (DRAM latency, switch pipeline wakeups beyond
- * the horizon) overflow into a comparison-ordered heap and migrate
+ * handful of cycles out, L2 and DRAM about a hundred), so the wheel
+ * covers the next kWheelSlots = 256 ticks with O(1) push/pop FIFO
+ * buckets and a four-word occupancy bitmap. Only events kWheelSlots or
+ * more ticks out overflow into a comparison-ordered heap and migrate
  * into the wheel as its base advances.
  *
  * Ordering contract: events pop in ascending (tick, phase,
@@ -34,6 +34,7 @@
 #ifndef NETCRAFTER_SIM_EVENT_QUEUE_HH
 #define NETCRAFTER_SIM_EVENT_QUEUE_HH
 
+#include <array>
 #include <bit>
 #include <cstdint>
 #include <vector>
@@ -51,8 +52,10 @@ namespace netcrafter::sim {
 class EventQueue
 {
   public:
-    /** Wheel horizon in ticks; must be a power of two. */
-    static constexpr std::size_t kWheelSlots = 64;
+    /** Wheel horizon in ticks: a power-of-two multiple of 64, so the
+     *  occupancy bitmap is whole 64-bit words. It covers the L2 and
+     *  DRAM latencies (100 cycles), keeping them out of the heap. */
+    static constexpr std::size_t kWheelSlots = 256;
 
     EventQueue() = default;
 
@@ -111,7 +114,8 @@ class EventQueue
         if (tick != base_)
             advanceTo(tick);
 
-        Slot &slot = slots_[slotOf(tick)];
+        const std::size_t s = slotOf(tick);
+        Slot &slot = slots_[s];
         Event *ev;
         if (slot.wireHead < slot.wire.size())
             ev = slot.wire[slot.wireHead++];
@@ -123,7 +127,7 @@ class EventQueue
             slot.wireHead = 0;
             slot.q.clear();
             slot.head = 0;
-            occupied_ &= ~(std::uint64_t{1} << slotOf(tick));
+            occupied_[s / 64] &= ~(std::uint64_t{1} << (s % 64));
         }
         --wheelCount_;
         --count_;
@@ -149,7 +153,7 @@ class EventQueue
         for (Event *ev : heap_)
             ev->scheduled_ = false;
         heap_.clear();
-        occupied_ = 0;
+        occupied_ = {};
         wheelCount_ = 0;
         count_ = 0;
         nextSeq_ = 0;
@@ -163,6 +167,11 @@ class EventQueue
     std::uint64_t farScheduled() const { return farScheduled_; }
 
   private:
+    static constexpr std::size_t kBitmapWords = kWheelSlots / 64;
+
+    static_assert(kWheelSlots % 64 == 0 && std::has_single_bit(kBitmapWords),
+                  "kWheelSlots must be a power-of-two multiple of 64");
+
     struct Slot
     {
         /** Wire-phase FIFO bucket, drained before q (see event.hh). */
@@ -187,19 +196,30 @@ class EventQueue
             slots_[s].wire.push_back(ev);
         else
             slots_[s].q.push_back(ev);
-        occupied_ |= std::uint64_t{1} << s;
+        occupied_[s / 64] |= std::uint64_t{1} << (s % 64);
         ++wheelCount_;
     }
 
-    /** Offset from base_ of the earliest occupied slot. */
+    /**
+     * Offset from base_ of the earliest occupied slot. Requires
+     * wheelCount_ > 0. Scans the bitmap words circularly: base_'s own
+     * word masked to the slots at or after base_, then the following
+     * words, ending with base_'s word again for the slots that wrapped
+     * around (a revolution minus a few ticks ahead).
+     */
     std::size_t
     firstOccupiedOffset() const
     {
-        // Rotate the bitmap so base_'s slot is bit 0; the lowest set
-        // bit is then the distance to the earliest pending tick.
-        const std::uint64_t rotated =
-            std::rotr(occupied_, static_cast<int>(slotOf(base_)));
-        return static_cast<std::size_t>(std::countr_zero(rotated));
+        const std::size_t b = slotOf(base_);
+        std::size_t w = b / 64;
+        std::uint64_t bits = occupied_[w] & (~std::uint64_t{0} << (b % 64));
+        for (std::size_t i = 1; bits == 0 && i <= kBitmapWords; ++i) {
+            w = (b / 64 + i) % kBitmapWords;
+            bits = occupied_[w];
+        }
+        const std::size_t s =
+            w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+        return (s - b) & (kWheelSlots - 1);
     }
 
     /**
@@ -266,7 +286,7 @@ class EventQueue
     }
 
     Slot slots_[kWheelSlots];
-    std::uint64_t occupied_ = 0;
+    std::array<std::uint64_t, kBitmapWords> occupied_{};
     Tick base_ = 0;
     std::size_t wheelCount_ = 0;
 

@@ -1,16 +1,18 @@
 /**
  * @file
  * SelfScheduling: the "wake me once per cycle" pattern shared by the
- * link, switch, RDMA and NetCrafter-controller models. Each of these
- * components sleeps when idle and is woken by buffer hooks; a wake
- * schedules the component's handler one cycle out unless a wake is
- * already pending, so N hook invocations in a cycle cost one event.
+ * link, switch, RDMA, wire-channel and NetCrafter-controller models.
+ * Each of these components sleeps when idle and is woken by buffer
+ * hooks; a wake schedules the component's handler one cycle out unless
+ * a wake is already pending, so N hook invocations in a cycle cost one
+ * event.
  */
 
 #ifndef NETCRAFTER_SIM_SELF_SCHEDULING_HH
 #define NETCRAFTER_SIM_SELF_SCHEDULING_HH
 
 #include "src/sim/engine.hh"
+#include "src/sim/event.hh"
 
 namespace netcrafter::sim {
 
@@ -24,6 +26,16 @@ namespace netcrafter::sim {
  * a component's wake accounting exact when stale wakes and fresh
  * notifies interleave on the same tick.
  *
+ * The wake is an intrusive MemberEvent owned by this object, so a
+ * notify() takes no pooled node and moves no callable. Normally the
+ * flag is set exactly while that event is queued. The two part only
+ * when the handler runs from some other event and clears the flag
+ * while the wake is still queued (the switch's long-delay wake-ups).
+ * A notify() in that window falls back to a pooled one-shot at the
+ * same tick — what the event stream would hold if every wake were a
+ * one-shot — so which events run, and in what order, never depends on
+ * which object carries the wake.
+ *
  *   class Link {
  *     SelfScheduling<Link, &Link::transfer> wake_;
  *     void transfer() { wake_.clearPending(); ... }
@@ -33,7 +45,8 @@ template <typename T, void (T::*Handler)()>
 class SelfScheduling
 {
   public:
-    SelfScheduling(Engine &engine, T *obj) : engine_(engine), obj_(obj)
+    SelfScheduling(Engine &engine, T *obj)
+        : engine_(engine), obj_(obj), event_(obj)
     {}
 
     SelfScheduling(const SelfScheduling &) = delete;
@@ -46,7 +59,10 @@ class SelfScheduling
         if (pending_)
             return;
         pending_ = true;
-        engine_.schedule(1, [this] { (obj_->*Handler)(); });
+        if (!event_.scheduled())
+            engine_.schedule(event_, 1);
+        else
+            engine_.schedule(1, [obj = obj_] { (obj->*Handler)(); });
     }
 
     /** Handler-side acknowledgement that the wake was consumed. */
@@ -58,6 +74,7 @@ class SelfScheduling
   private:
     Engine &engine_;
     T *obj_;
+    MemberEvent<T, Handler> event_;
     bool pending_ = false;
 };
 

@@ -855,7 +855,8 @@ ShardedEngine::auditTeardown() const
     for (std::size_t i = 0; i < ports_.size(); ++i) {
         const std::size_t pending = ports_[i]->pendingExports();
         if (pending != 0) {
-            NC_PANIC("teardown census: cross-shard port #", i, " (",
+            NC_PANIC("teardown census at tick ", now(),
+                     ": cross-shard port #", i, " (",
                      ports_[i]->srcShard(), " -> ",
                      ports_[i]->dstShard(), ") still holds ", pending,
                      " queued exports; an aborted run left in-flight "
@@ -866,7 +867,8 @@ ShardedEngine::auditTeardown() const
     for (unsigned s = 0; s < numShards(); ++s) {
         const std::size_t pending = engines_[s]->pendingEvents();
         if (pending != 0) {
-            NC_PANIC("teardown census: shard ", s, " still has ", pending,
+            NC_PANIC("teardown census at tick ", engines_[s]->now(),
+                     ": shard ", s, " still has ", pending,
                      " pending events; pooled handles captured by those "
                      "events outlive the thread-local arenas that own "
                      "them");

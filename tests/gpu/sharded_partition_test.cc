@@ -114,8 +114,9 @@ TEST(ShardedPartitionTest, EverySimObjectOnExactlyOneShard)
         for (unsigned s = 0; s < sharded.numShards(); ++s) {
             for (const std::string &name :
                  sharded.engines().shard(s).attachedObjectNames()) {
-                if (name.rfind(prefix, 0) == 0)
+                if (name.rfind(prefix, 0) == 0) {
                     EXPECT_EQ(s, shard) << name;
+                }
             }
         }
     }

@@ -56,8 +56,9 @@ expectShardInvariant(const std::string &app,
     if (shards > 1) {
         EXPECT_EQ(parallel.shards, shards) << app;
         EXPECT_GT(parallel.quantaExecuted, 0u) << app;
-        if (parallel.interFlits > 0)
+        if (parallel.interFlits > 0) {
             EXPECT_GT(parallel.crossShardFlits, 0u) << app;
+        }
     }
 }
 
@@ -174,8 +175,9 @@ TEST(ShardedDeterminismTest, StallCensusIsThreadCountInvariant)
     EXPECT_EQ(four.quantaExecuted, steal.quantaExecuted);
     // A single executor multiplexing four shards covers every round's
     // stall except the last unit's — the covered share must be real.
-    if (mux.barrierStallTicks > 0)
+    if (mux.barrierStallTicks > 0) {
         EXPECT_GT(mux.coveredStallTicks, 0u);
+    }
 }
 
 TEST(ShardedDeterminismTest, TwoShardsMatchFourShardsOnMesh)

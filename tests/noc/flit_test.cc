@@ -150,8 +150,9 @@ TEST_P(SegmentationSweep, Invariants)
         EXPECT_EQ(f.pkt.get(), pkt.get());
         sum += f.occupiedBytes;
         // Only the tail may be partially filled.
-        if (i + 1 < flits.size())
+        if (i + 1 < flits.size()) {
             EXPECT_EQ(f.occupiedBytes, flit_bytes);
+        }
     }
     EXPECT_EQ(sum, pkt->totalBytes());
 }

@@ -173,6 +173,39 @@ TEST(WireChannelTest, LatencyAndCreditsPreserveFifoWithinTick)
     }
 }
 
+TEST(WireChannelTest, CreditComesBackLatencyCyclesAfterTheSinkPop)
+{
+    // The credit census MultiGpuSystem::auditTeardown() relies on: a
+    // delivered flit sitting unpopped in the sink holds one credit, and
+    // the sink's pop sends it home exactly `latency` cycles later.
+    sim::Engine eng;
+    FlitBuffer source(16);
+    FlitBuffer sink(4);
+    WireChannel channel(eng, eng, "test.wire", source, sink,
+                        /*flits_per_cycle=*/1, kWireLatency,
+                        /*src_shard=*/0, /*dst_shard=*/0);
+    EXPECT_EQ(channel.sinkCapacity(), sink.capacity());
+    EXPECT_EQ(channel.credits(), sink.capacity());
+
+    resetPacketIds();
+    FlitPtr flit = makeFlit();
+    flit->pkt = makePacket(PacketType::ReadReq, 0, 1, 0x1000);
+    flit->occupiedBytes = 8;
+    ASSERT_TRUE(source.tryPush(std::move(flit)));
+    EXPECT_EQ(eng.run(), sim::RunStatus::Drained);
+    ASSERT_EQ(sink.size(), 1u);
+    EXPECT_EQ(channel.credits(), sink.capacity() - 1);
+
+    const Tick popped_at = eng.now();
+    sink.pop();
+    EXPECT_EQ(eng.run(popped_at + kWireLatency - 1),
+              sim::RunStatus::LimitHit);
+    EXPECT_EQ(channel.credits(), sink.capacity() - 1);
+    EXPECT_EQ(eng.run(), sim::RunStatus::Drained);
+    EXPECT_EQ(eng.now(), popped_at + kWireLatency);
+    EXPECT_EQ(channel.credits(), sink.capacity());
+}
+
 TEST(WireChannelTest, CrossShardCountersTrackRematerialization)
 {
     const std::vector<Injection> plan = randomSchedule(42, 50);

@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <array>
+#include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -115,47 +117,92 @@ TEST(EventQueue, ClearUnschedulesEverything)
 TEST(EventQueue, StressRandomOrderMatchesReferenceHeap)
 {
     // Random interleaving of schedules and pops, checked against a
-    // (tick, seq) multimap reference model. Ticks span several wheel
-    // revolutions so wheel<->heap migration is exercised.
+    // (tick, phase, seq) reference model. Ticks span many wheel
+    // revolutions so wheel<->heap migration is exercised; delays hit
+    // every bitmap-word boundary and the wheel horizon; some events are
+    // wire-phase; and one stretch parks the drain point just short of a
+    // revolution so the occupied slots wrap around the wheel's end.
+    using Key = std::tuple<Tick, std::uint8_t, std::uint64_t>;
+    constexpr Tick kSlots = EventQueue::kWheelSlots;
+    std::vector<Tick> boundary_delays;
+    for (Tick w = 64; w <= kSlots; w += 64) {
+        boundary_delays.push_back(w - 1);
+        boundary_delays.push_back(w);
+        boundary_delays.push_back(w + 1);
+    }
+
     EventQueue q;
     Pcg32 rng(42);
     std::vector<std::unique_ptr<TestEvent>> storage;
-    std::vector<std::pair<Tick, const Event *>> reference;
+    std::map<Key, const Event *> reference;
+    std::uint64_t seq = 0;
     Tick drain_point = 0;
-    std::size_t ref_head = 0;
 
-    auto ref_sorted = [&] {
-        std::stable_sort(reference.begin() + ref_head, reference.end(),
-                         [](const auto &a, const auto &b) {
-                             return a.first < b.first;
-                         });
+    const auto push = [&](Tick when, bool wire) {
+        storage.push_back(std::make_unique<TestEvent>());
+        if (wire)
+            storage.back()->setPhase(kPhaseWire);
+        q.schedule(*storage.back(), when);
+        reference.emplace(Key{when, storage.back()->phase(), seq++},
+                          storage.back().get());
+    };
+    const auto pop_one = [&]() -> ::testing::AssertionResult {
+        const auto [when, phase, want_seq] = reference.begin()->first;
+        if (q.empty())
+            return ::testing::AssertionFailure() << "queue ran dry";
+        if (q.nextTick() != when) {
+            return ::testing::AssertionFailure()
+                   << "nextTick " << q.nextTick() << ", want " << when;
+        }
+        const Event *got = q.pop();
+        if (got != reference.begin()->second || got->when() != when) {
+            return ::testing::AssertionFailure()
+                   << "popped tick " << got->when() << " phase "
+                   << int(got->phase()) << ", want tick " << when
+                   << " phase " << int(phase) << " seq " << want_seq;
+        }
+        drain_point = when;
+        reference.erase(reference.begin());
+        return ::testing::AssertionSuccess();
     };
 
-    for (int round = 0; round < 200; ++round) {
+    for (int round = 0; round < 400; ++round) {
+        if (round == 200) {
+            // Drain everything, then park the drain point three ticks
+            // before a revolution ends.
+            while (!reference.empty())
+                ASSERT_TRUE(pop_one());
+            const Tick park = (drain_point / kSlots + 3) * kSlots - 3;
+            push(park, false);
+            ASSERT_TRUE(pop_one());
+            ASSERT_EQ(drain_point, park);
+        }
         const int pushes = 1 + rng.below(50);
         for (int i = 0; i < pushes; ++i) {
-            const Tick when = drain_point + rng.below(1000);
-            storage.push_back(std::make_unique<TestEvent>());
-            q.schedule(*storage.back(), when);
-            reference.emplace_back(when, storage.back().get());
+            Tick delay;
+            switch (rng.below(3)) {
+            case 0:
+                delay = rng.below(1000);
+                break;
+            case 1:
+                delay = boundary_delays[rng.below(static_cast<std::uint32_t>(
+                    boundary_delays.size()))];
+                break;
+            default:
+                delay = rng.below(8);
+                break;
+            }
+            // Wire-phase events are always strictly in the future.
+            const bool wire = delay > 0 && rng.below(4) == 0;
+            push(drain_point + delay, wire);
         }
-        ref_sorted();
-        const int pops = rng.below(static_cast<std::uint32_t>(
-            reference.size() - ref_head + 1));
-        for (int i = 0; i < pops; ++i) {
-            ASSERT_FALSE(q.empty());
-            const Event *got = q.pop();
-            ASSERT_EQ(got, reference[ref_head].second);
-            ASSERT_EQ(got->when(), reference[ref_head].first);
-            ASSERT_GE(got->when(), drain_point);
-            drain_point = got->when();
-            ++ref_head;
-        }
+        const int pops = rng.below(
+            static_cast<std::uint32_t>(reference.size() + 1));
+        for (int i = 0; i < pops; ++i)
+            ASSERT_TRUE(pop_one());
     }
-    while (ref_head < reference.size()) {
-        ASSERT_EQ(q.pop(), reference[ref_head].second);
-        ++ref_head;
-    }
+    while (!reference.empty())
+        ASSERT_TRUE(pop_one());
     EXPECT_TRUE(q.empty());
 }
 
