@@ -95,10 +95,10 @@ main()
 
     std::vector<std::vector<double>> speedups(points.size());
     for (const auto &app : apps) {
-        auto base = harness::runWorkload(app, config::baselineConfig());
+        auto base = bench::run(app, config::baselineConfig());
         std::vector<std::string> row{app};
         for (std::size_t i = 0; i < points.size(); ++i) {
-            auto r = harness::runWorkload(app, points[i].cfg);
+            auto r = bench::run(app, points[i].cfg);
             speedups[i].push_back(bench::speedup(base, r));
             row.push_back(harness::Table::fmt(speedups[i].back(), 3));
         }

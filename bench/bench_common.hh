@@ -1,8 +1,8 @@
 /**
  * @file
  * Shared helpers for the per-figure bench binaries: the Table 3 app
- * list, the paper's ablation configurations, and small printing
- * utilities. The implementations live in the experiment-orchestration
+ * list, the paper's ablation configurations, the run spec the
+ * NETCRAFTER_* environment selects, and small printing utilities. The implementations live in the experiment-orchestration
  * subsystem (src/exp/figures.hh) so declaratively defined sweeps and
  * the remaining hand-rolled binaries agree on the exact same
  * configurations; this header just adapts them to the historical
@@ -14,17 +14,14 @@
 
 #include <iostream>
 #include <string>
-#include <thread>
 #include <vector>
-
-#if defined(__linux__)
-#include <sched.h>
-#endif
 
 #include "src/config/system_config.hh"
 #include "src/exp/figures.hh"
+#include "src/harness/env_overlay.hh"
 #include "src/harness/runner.hh"
 #include "src/harness/table.hh"
+#include "src/obs/telemetry.hh"
 #include "src/workloads/workload.hh"
 
 namespace netcrafter::bench {
@@ -40,49 +37,44 @@ apps()
     return workloads::workloadNames();
 }
 
-/** Baseline + Stitching with Selective Flit Pooling at the sweet spot. */
-inline SystemConfig
-stitchSelective32()
-{
-    return exp::stitchSelective32();
-}
-
-/** Stitching(+SelPool) + Trimming. */
-inline SystemConfig
-stitchTrim()
-{
-    return exp::stitchTrim();
-}
-
-/** The full NetCrafter design point (adds Sequencing). */
-inline SystemConfig
-fullNetcrafter()
-{
-    return exp::fullNetcrafter();
-}
+// The paper's ablation configurations and the speedup ratio.
+using exp::fullNetcrafter;
+using exp::speedup;
+using exp::stitchSelective32;
+using exp::stitchTrim;
 
 /**
- * CPUs actually usable by this process. hardware_concurrency() reports
- * the machine's core count even when the process is confined to fewer
- * (cgroup cpusets, taskset, CI runners), which would let a bench JSON
- * claim parallel headroom the run never had. Prefer the scheduling
- * affinity mask; fall back to hardware_concurrency(), floor of 1.
+ * The run spec a bench main starts from: defaults overlaid with the
+ * NETCRAFTER_* run environment (harness::overlayEnv). The first call
+ * also starts telemetry from the NETCRAFTER_HEARTBEAT_* /
+ * NETCRAFTER_WATCHDOG_* environment; later calls reuse the first
+ * reading.
  */
-inline unsigned
-hostCpus()
+inline const harness::RunSpec &
+envSpec()
 {
-#if defined(__linux__)
-    cpu_set_t mask;
-    CPU_ZERO(&mask);
-    if (sched_getaffinity(0, sizeof(mask), &mask) == 0) {
-        const int count = CPU_COUNT(&mask);
-        if (count > 0)
-            return static_cast<unsigned>(count);
-    }
-#endif
-    const unsigned hw = std::thread::hardware_concurrency();
-    return hw > 0 ? hw : 1;
+    static const harness::RunSpec spec = [] {
+        obs::Telemetry::instance().start(
+            obs::TelemetryOptions::fromEnv());
+        harness::RunSpec s;
+        harness::overlayEnv(s);
+        return s;
+    }();
+    return spec;
 }
+
+/** Simulate @p app under @p cfg with @p spec's other fields. */
+inline RunResult
+run(const std::string &app, const SystemConfig &cfg,
+    harness::RunSpec spec = envSpec())
+{
+    spec.workload = app;
+    spec.config = cfg;
+    return harness::run(spec);
+}
+
+/** CPUs usable by this process (the affinity mask), for bench JSON. */
+using exp::hostCpus;
 
 /**
  * Loud undersubscription check for sharded bench modes: when the
@@ -112,13 +104,6 @@ inline void
 banner(const std::string &fig, const std::string &caption)
 {
     exp::banner(std::cout, fig, caption);
-}
-
-/** Speedup of @p v over @p base execution cycles. */
-inline double
-speedup(const RunResult &base, const RunResult &v)
-{
-    return exp::speedup(base, v);
 }
 
 } // namespace netcrafter::bench

@@ -20,9 +20,8 @@ main()
     double sum_base = 0, sum_ideal = 0;
 
     for (const auto &app : bench::apps()) {
-        auto base =
-            harness::runWorkload(app, config::baselineConfig());
-        auto ideal = harness::runWorkload(app, config::idealConfig());
+        auto base = bench::run(app, config::baselineConfig());
+        auto ideal = bench::run(app, config::idealConfig());
         sum_base += base.interUtilization;
         sum_ideal += ideal.interUtilization;
         table.addRow({app, harness::Table::pct(base.interUtilization),

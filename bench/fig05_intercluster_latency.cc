@@ -22,9 +22,8 @@ main()
     std::vector<double> ratios;
 
     for (const auto &app : bench::apps()) {
-        auto base =
-            harness::runWorkload(app, config::baselineConfig());
-        auto ideal = harness::runWorkload(app, config::idealConfig());
+        auto base = bench::run(app, config::baselineConfig());
+        auto ideal = bench::run(app, config::idealConfig());
         if (base.interReads == 0) {
             table.addRow({app, "-", "-", "- (no inter-cluster reads)"});
             continue;

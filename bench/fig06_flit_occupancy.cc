@@ -24,8 +24,7 @@ main()
     int n = 0;
 
     for (const auto &app : bench::apps()) {
-        auto base =
-            harness::runWorkload(app, config::baselineConfig());
+        auto base = bench::run(app, config::baselineConfig());
         if (base.interFlits == 0) {
             table.addRow({app, "-", "-", "- (no inter-cluster flits)"});
             continue;

@@ -24,19 +24,19 @@ main()
     for (const auto &app : bench::apps()) {
         // Reference: the plain baseline whose inter-cluster egress is a
         // FIFO output buffer, as in the paper's characterization.
-        auto base = harness::runWorkload(app, config::baselineConfig());
+        auto base = bench::run(app, config::baselineConfig());
 
         config::SystemConfig ptw_cfg = config::baselineConfig();
         ptw_cfg.netcrafter.sequencing =
             config::SequencingMode::PrioritizePtw;
-        auto ptw = harness::runWorkload(app, ptw_cfg);
+        auto ptw = bench::run(app, ptw_cfg);
 
         config::SystemConfig data_cfg = config::baselineConfig();
         data_cfg.netcrafter.sequencing =
             config::SequencingMode::PrioritizeData;
         data_cfg.netcrafter.priorityDataFraction =
             base.ptwByteFraction; // "same fraction" as PTW traffic
-        auto data = harness::runWorkload(app, data_cfg);
+        auto data = bench::run(app, data_cfg);
 
         const double s_ptw = bench::speedup(base, ptw);
         const double s_data = bench::speedup(base, data);

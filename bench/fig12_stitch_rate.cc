@@ -21,9 +21,8 @@ main()
     int n = 0;
 
     for (const auto &app : bench::apps()) {
-        auto alone = harness::runWorkload(
-            app, config::stitchingConfig(false));
-        auto pooled = harness::runWorkload(
+        auto alone = bench::run(app, config::stitchingConfig(false));
+        auto pooled = bench::run(
             app, config::stitchingConfig(true, false, 32));
         if (alone.interFlits == 0) {
             table.addRow({app, "-", "-"});

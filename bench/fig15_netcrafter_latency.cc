@@ -21,9 +21,8 @@ main()
     std::vector<double> ratios;
 
     for (const auto &app : bench::apps()) {
-        auto base =
-            harness::runWorkload(app, config::baselineConfig());
-        auto nc = harness::runWorkload(app, bench::fullNetcrafter());
+        auto base = bench::run(app, config::baselineConfig());
+        auto nc = bench::run(app, bench::fullNetcrafter());
         if (base.interReads == 0) {
             table.addRow({app, "-", "-", "-"});
             continue;

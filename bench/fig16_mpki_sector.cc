@@ -21,14 +21,12 @@ main()
         {"app", "baseline", "Trimming", "SectorCache16B"});
 
     for (const auto &app : bench::apps()) {
-        auto base =
-            harness::runWorkload(app, config::baselineConfig());
+        auto base = bench::run(app, config::baselineConfig());
         config::SystemConfig trim_cfg = config::baselineConfig();
         trim_cfg.netcrafter.trimming = true;
         trim_cfg.l1FillMode = config::L1FillMode::TrimInterCluster;
-        auto trim = harness::runWorkload(app, trim_cfg);
-        auto sector =
-            harness::runWorkload(app, config::sectorCacheConfig(16));
+        auto trim = bench::run(app, trim_cfg);
+        auto sector = bench::run(app, config::sectorCacheConfig(16));
 
         table.addRow({app, harness::Table::fmt(base.l1Mpki, 1),
                       harness::Table::fmt(trim.l1Mpki, 1),

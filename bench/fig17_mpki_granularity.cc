@@ -19,17 +19,16 @@ main()
     harness::Table table({"granularity", "Trimming (NetCrafter)",
                           "All-trimming (sector cache)"});
 
-    auto base = harness::runWorkload("GEMM", config::baselineConfig());
+    auto base = bench::run("GEMM", config::baselineConfig());
 
     for (std::uint32_t g : {4u, 8u, 16u}) {
         config::SystemConfig trim_cfg = config::baselineConfig();
         trim_cfg.netcrafter.trimming = true;
         trim_cfg.netcrafter.trimGranularity = g;
         trim_cfg.l1FillMode = config::L1FillMode::TrimInterCluster;
-        auto trim = harness::runWorkload("GEMM", trim_cfg);
+        auto trim = bench::run("GEMM", trim_cfg);
 
-        auto sector =
-            harness::runWorkload("GEMM", config::sectorCacheConfig(g));
+        auto sector = bench::run("GEMM", config::sectorCacheConfig(g));
 
         table.addRow({std::to_string(g) + "B",
                       harness::Table::fmt(trim.l1Mpki, 1),

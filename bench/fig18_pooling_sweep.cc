@@ -26,17 +26,15 @@ main()
     std::vector<std::vector<double>> speedups(windows.size() + 1);
 
     for (const auto &app : bench::apps()) {
-        auto base =
-            harness::runWorkload(app, config::baselineConfig());
+        auto base = bench::run(app, config::baselineConfig());
         std::vector<std::string> row{app};
 
-        auto alone =
-            harness::runWorkload(app, config::stitchingConfig(false));
+        auto alone = bench::run(app, config::stitchingConfig(false));
         speedups[0].push_back(bench::speedup(base, alone));
         row.push_back(harness::Table::fmt(speedups[0].back(), 3));
 
         for (std::size_t i = 0; i < windows.size(); ++i) {
-            auto pooled = harness::runWorkload(
+            auto pooled = bench::run(
                 app, config::stitchingConfig(true, false, windows[i]));
             speedups[i + 1].push_back(bench::speedup(base, pooled));
             row.push_back(

@@ -30,10 +30,10 @@ main()
         config::SystemConfig nc8 = bench::stitchSelective32();
         nc8.flitBytes = 8;
 
-        auto b16 = harness::runWorkload(app, base16);
-        auto v16 = harness::runWorkload(app, nc16);
-        auto b8 = harness::runWorkload(app, base8);
-        auto v8 = harness::runWorkload(app, nc8);
+        auto b16 = bench::run(app, base16);
+        auto v16 = bench::run(app, nc16);
+        auto b8 = bench::run(app, base8);
+        auto v8 = bench::run(app, nc8);
 
         s16.push_back(bench::speedup(b16, v16));
         s8.push_back(bench::speedup(b8, v8));

@@ -146,13 +146,15 @@ runShardBench(const std::string &out_path, bool quick, double scale)
     std::vector<ShardRow> rows;
     bool census_ok = true;
 
+    harness::RunSpec spec = bench::envSpec();
+    spec.scale *= scale;
     for (unsigned shards : shard_counts) {
         ShardRow row;
         row.shards = shards;
+        spec.shards = shards;
         for (const auto &[cfg_name, cfg] : configs) {
             for (const auto &app : bench::apps()) {
-                const RunResult r =
-                    harness::runWorkload(app, cfg, scale, shards);
+                const RunResult r = bench::run(app, cfg, spec);
                 row.events += r.events;
                 row.cycles += r.cycles;
                 row.quanta += r.quantaExecuted;
@@ -198,8 +200,7 @@ runShardBench(const std::string &out_path, bool quick, double scale)
     os << "  \"topology\": \"4 clusters x 1 gpu\",\n";
     os << "  \"quick\": " << (quick ? "true" : "false") << ",\n";
     os << "  \"scale\": " << scale << ",\n";
-    os << "  \"env_scale\": " << netcrafter::harness::envScale()
-       << ",\n";
+    os << "  \"env_scale\": " << bench::envSpec().scale << ",\n";
     os << "  \"host_cpus\": " << host_cpus << ",\n";
     os << "  \"notes\": \"" << exp::jsonEscape(note) << "\",\n";
     os << "  \"census_identical\": " << (census_ok ? "true" : "false")
@@ -304,14 +305,17 @@ runWorkstealBench(const std::string &out_path, bool quick, double scale)
     };
     const std::string note =
         bench::undersubscribedNote("perf_hotpath --worksteal", 4);
-    const obs::TraceOptions no_trace;
+    harness::RunSpec spec = bench::envSpec();
+    spec.scale *= scale;
+    spec.trace = {};
     bool census_ok = true;
 
     for (ExecRow &row : rows) {
+        spec.shards = row.shards;
+        spec.exec = row.exec;
         for (const auto &[cfg_name, cfg] : configs) {
             for (const auto &app : bench::apps()) {
-                const RunResult r = harness::runWorkload(
-                    app, cfg, scale, row.shards, no_trace, row.exec);
+                const RunResult r = bench::run(app, cfg, spec);
                 row.events += r.events;
                 row.cycles += r.cycles;
                 row.quanta += r.quantaExecuted;
@@ -362,8 +366,7 @@ runWorkstealBench(const std::string &out_path, bool quick, double scale)
     os << "  \"topology\": \"4 clusters x 1 gpu\",\n";
     os << "  \"quick\": " << (quick ? "true" : "false") << ",\n";
     os << "  \"scale\": " << scale << ",\n";
-    os << "  \"env_scale\": " << netcrafter::harness::envScale()
-       << ",\n";
+    os << "  \"env_scale\": " << bench::envSpec().scale << ",\n";
     os << "  \"host_cpus\": " << host_cpus << ",\n";
     os << "  \"notes\": \"" << exp::jsonEscape(note) << "\",\n";
     os << "  \"census_identical\": " << (census_ok ? "true" : "false")
@@ -444,8 +447,11 @@ runFlowBench(const std::string &out_path, bool quick, double scale)
         std::string workload;
         RunResult cycle, hybrid, flow;
     };
-    const obs::TraceOptions no_trace;
-    const sim::ExecPolicy serial{0, false, 1};
+    harness::RunSpec spec = bench::envSpec();
+    spec.scale *= scale;
+    spec.shards = 1;
+    spec.trace = {};
+    spec.exec = sim::ExecPolicy{0, false, 1};
     std::vector<FlowPoint> points;
     bool conserved = true;
 
@@ -459,13 +465,12 @@ runFlowBench(const std::string &out_path, bool quick, double scale)
             FlowPoint p;
             p.config = cfg_name;
             p.workload = app;
-            p.cycle = harness::runWorkload(app, cfg, scale, 1, no_trace,
-                                           serial, flow::Fidelity::Cycle);
-            p.hybrid = harness::runWorkload(app, cfg, scale, 1, no_trace,
-                                            serial,
-                                            flow::Fidelity::Hybrid);
-            p.flow = harness::runWorkload(app, cfg, scale, 1, no_trace,
-                                          serial, flow::Fidelity::Flow);
+            spec.fidelity = flow::Fidelity::Cycle;
+            p.cycle = bench::run(app, cfg, spec);
+            spec.fidelity = flow::Fidelity::Hybrid;
+            p.hybrid = bench::run(app, cfg, spec);
+            spec.fidelity = flow::Fidelity::Flow;
+            p.flow = bench::run(app, cfg, spec);
             if (!conservationOk(p.hybrid) || !conservationOk(p.flow)) {
                 std::cerr << "perf_hotpath --flow: conservation broken "
                              "at "
@@ -512,7 +517,7 @@ runFlowBench(const std::string &out_path, bool quick, double scale)
     os << "  \"workload_set\": \"fig14\",\n";
     os << "  \"quick\": " << (quick ? "true" : "false") << ",\n";
     os << "  \"scale\": " << scale << ",\n";
-    os << "  \"env_scale\": " << harness::envScale() << ",\n";
+    os << "  \"env_scale\": " << bench::envSpec().scale << ",\n";
     os << "  \"conservation_exact\": " << (conserved ? "true" : "false")
        << ",\n";
     os << "  \"points\": [";
@@ -621,6 +626,12 @@ runObsBench(const std::string &out_path, bool quick, double scale,
     obs::TraceOptions enabled;
     enabled.level = obs::TraceLevel::Packets;
     enabled.sampleInterval = 10'000;
+    harness::RunSpec off_spec = bench::envSpec();
+    off_spec.scale *= scale;
+    off_spec.shards = 1;
+    off_spec.trace = disabled;
+    harness::RunSpec on_spec = off_spec;
+    on_spec.trace = enabled;
 
     struct Totals
     {
@@ -638,15 +649,13 @@ runObsBench(const std::string &out_path, bool quick, double scale,
     std::vector<RunResult> off_results;
     for (const auto &[cfg_name, cfg] : configs)
         for (const auto &app : bench::apps())
-            off_results.push_back(
-                harness::runWorkload(app, cfg, scale, 1, disabled));
+            off_results.push_back(bench::run(app, cfg, off_spec));
 
     std::size_t point = 0;
     for (const auto &[cfg_name, cfg] : configs) {
         for (const auto &app : bench::apps()) {
             const RunResult &off = off_results[point++];
-            const RunResult on =
-                harness::runWorkload(app, cfg, scale, 1, enabled);
+            const RunResult on = bench::run(app, cfg, on_spec);
             off_t.events += off.events;
             off_t.wall += off.wallSeconds;
             on_t.events += on.events;
@@ -686,8 +695,7 @@ runObsBench(const std::string &out_path, bool quick, double scale,
     for (const auto &[cfg_name, cfg] : configs) {
         for (const auto &app : bench::apps()) {
             const RunResult &off = off_results[point++];
-            const RunResult tel =
-                harness::runWorkload(app, cfg, scale, 1, disabled);
+            const RunResult tel = bench::run(app, cfg, off_spec);
             tel_t.events += tel.events;
             tel_t.wall += tel.wallSeconds;
             if (!harness::sameMeasurement(off, tel)) {
@@ -743,7 +751,7 @@ runObsBench(const std::string &out_path, bool quick, double scale,
     os << "  \"workload_set\": \"fig14\",\n";
     os << "  \"quick\": " << (quick ? "true" : "false") << ",\n";
     os << "  \"scale\": " << scale << ",\n";
-    os << "  \"env_scale\": " << harness::envScale() << ",\n";
+    os << "  \"env_scale\": " << bench::envSpec().scale << ",\n";
     os << "  \"trace_level\": \""
        << obs::TraceOptions::levelName(enabled.level) << "\",\n";
     os << "  \"sample_interval\": " << enabled.sampleInterval << ",\n";
@@ -882,6 +890,9 @@ main(int argc, char **argv)
         configs.push_back({"sector", config::sectorCacheConfig(16)});
     }
 
+    harness::RunSpec spec = bench::envSpec();
+    spec.scale *= scale;
+    spec.shards = 1;
     const auto t0 = std::chrono::steady_clock::now();
     std::vector<Point> points;
     std::uint64_t total_events = 0;
@@ -891,7 +902,7 @@ main(int argc, char **argv)
             Point p;
             p.config = cfg_name;
             p.workload = app;
-            p.result = harness::runWorkload(app, cfg, scale);
+            p.result = bench::run(app, cfg, spec);
             total_events += p.result.events;
             total_wall += p.result.wallSeconds;
             std::cerr << cfg_name << "/" << app << ": "
@@ -919,7 +930,7 @@ main(int argc, char **argv)
     os << "  \"workload_set\": \"fig14\",\n";
     os << "  \"quick\": " << (quick ? "true" : "false") << ",\n";
     os << "  \"scale\": " << scale << ",\n";
-    os << "  \"env_scale\": " << harness::envScale() << ",\n";
+    os << "  \"env_scale\": " << bench::envSpec().scale << ",\n";
     os << "  \"points\": [";
     for (std::size_t i = 0; i < points.size(); ++i) {
         const Point &p = points[i];

@@ -138,22 +138,26 @@ main(int argc, char **argv)
 
     bool all_ok = true;
     std::vector<Point> points;
+    harness::RunSpec spec = bench::envSpec();
+    spec.scale *= scale;
     for (const auto &[label, cfg] : configs) {
         for (double load : loads) {
-            serve::ServeConfig point_sc = sc;
-            point_sc.offeredLoad = load;
+            spec.serve = sc;
+            spec.serve.offeredLoad = load;
+            spec.config = cfg;
 
             Point p;
             p.config = label;
             p.load = load;
 
             auto t0 = std::chrono::steady_clock::now();
-            p.serial = harness::runServe(point_sc, cfg, scale, 1);
+            spec.shards = 1;
+            p.serial = harness::run(spec);
             p.wallSerial = seconds(t0);
 
             t0 = std::chrono::steady_clock::now();
-            const harness::RunResult sharded =
-                harness::runServe(point_sc, cfg, scale, 2);
+            spec.shards = 2;
+            const harness::RunResult sharded = harness::run(spec);
             p.wallSharded = seconds(t0);
 
             p.identical = harness::sameMeasurement(p.serial, sharded);
@@ -231,7 +235,7 @@ main(int argc, char **argv)
     }
     os << "},\n";
     os << "  \"scale\": " << scale << ",\n";
-    os << "  \"env_scale\": " << harness::envScale() << ",\n";
+    os << "  \"env_scale\": " << bench::envSpec().scale << ",\n";
     os << "  \"host_cpus\": " << host_cpus << ",\n";
     os << "  \"notes\": \"" << exp::jsonEscape(note) << "\",\n";
     os << "  \"shard_identical\": " << (all_ok ? "true" : "false")

@@ -4,7 +4,7 @@
  * the baseline and under full NetCrafter, and print the speedup — the
  * library's whole public API in ~40 lines.
  *
- * Usage: example_quickstart [workload] [scale]
+ * Usage: example_quickstart [workload] [scale] (plus NETCRAFTER_* vars)
  */
 
 #include <cstdlib>
@@ -12,32 +12,34 @@
 #include <string>
 
 #include "src/config/system_config.hh"
+#include "src/harness/env_overlay.hh"
 #include "src/harness/runner.hh"
 #include "src/harness/table.hh"
+#include "src/obs/telemetry.hh"
 
 int
 main(int argc, char **argv)
 {
     using namespace netcrafter;
 
-    const std::string workload = argc > 1 ? argv[1] : "GUPS";
-    const double scale = argc > 2 ? std::atof(argv[2]) : 1.0;
+    harness::RunSpec spec;
+    spec.workload = argc > 1 ? argv[1] : "GUPS";
+    spec.scale = argc > 2 ? std::atof(argv[2]) : 1.0;
+    harness::overlayEnv(spec);
+    obs::Telemetry::instance().start(obs::TelemetryOptions::fromEnv());
 
     // Table 2 baseline: 4 GPUs in 2 clusters, 128 GB/s intra-cluster,
     // 16 GB/s inter-cluster, no NetCrafter.
-    config::SystemConfig baseline = config::baselineConfig();
+    spec.config = config::baselineConfig();
+    std::cout << "Simulating " << spec.workload << " (scale "
+              << spec.scale << ") on the baseline non-uniform system...\n";
+    harness::RunResult base = harness::run(spec);
 
     // The full NetCrafter design point: Stitching + Selective Flit
     // Pooling (32 cycles) + Trimming (16B) + Sequencing.
-    config::SystemConfig crafted = config::netcrafterConfig();
-
-    std::cout << "Simulating " << workload << " (scale " << scale
-              << ") on the baseline non-uniform system...\n";
-    harness::RunResult base =
-        harness::runWorkload(workload, baseline, scale);
-
-    std::cout << "Simulating " << workload << " with NetCrafter...\n\n";
-    harness::RunResult nc = harness::runWorkload(workload, crafted, scale);
+    spec.config = config::netcrafterConfig();
+    std::cout << "Simulating " << spec.workload << " with NetCrafter...\n\n";
+    harness::RunResult nc = harness::run(spec);
 
     harness::Table table({"metric", "baseline", "netcrafter"});
     table.addRow({"cycles", std::to_string(base.cycles),

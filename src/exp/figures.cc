@@ -1,12 +1,13 @@
 #include "src/exp/figures.hh"
 
-#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
 
+#include "src/harness/env_overlay.hh"
 #include "src/harness/runner.hh"
 #include "src/harness/table.hh"
+#include "src/obs/telemetry.hh"
 #include "src/workloads/workload.hh"
 
 namespace netcrafter::exp {
@@ -297,12 +298,6 @@ findFigure(const std::string &name)
 }
 
 int
-figureMain(const std::string &name)
-{
-    return figureMain(name, 0, nullptr);
-}
-
-int
 figureMain(const std::string &name, int argc, char **argv)
 {
     const Figure *fig = findFigure(name);
@@ -310,60 +305,21 @@ figureMain(const std::string &name, int argc, char **argv)
         std::cerr << "unknown figure '" << name << "'\n";
         return 1;
     }
-    Scheduler::Options opts;
-    if (const char *env = std::getenv("NETCRAFTER_JOBS"))
-        opts.workers = static_cast<unsigned>(std::atoi(env));
-    if (const char *env = std::getenv("NETCRAFTER_SHARDS"))
-        opts.shards = harness::parseShardsEnv(env);
-    // Flags below override the NETCRAFTER_TRACE_* environment.
-    opts.trace = obs::TraceOptions::fromEnv();
-    bool explicit_level = false;
+    harness::RunFlags flags;
     for (int i = 1; i < argc; ++i) {
+        if (flags.consume(argc, argv, i))
+            continue;
         const std::string arg = argv[i];
-        if ((arg == "--jobs" || arg == "--shards") && i + 1 < argc) {
-            const long n = std::atol(argv[++i]);
-            if (n < 0 || (arg == "--shards" && n < 1)) {
-                std::cerr << arg << " requires a positive integer\n";
-                return 1;
-            }
-            (arg == "--jobs" ? opts.workers : opts.shards) =
-                static_cast<unsigned>(n);
-        } else if (arg == "--trace-out" && i + 1 < argc) {
-            opts.trace.outDir = argv[++i];
-        } else if (arg == "--trace-level" && i + 1 < argc) {
-            opts.trace.level = obs::TraceOptions::parseLevel(argv[++i]);
-            explicit_level = true;
-        } else if (arg == "--sample-interval" && i + 1 < argc) {
-            const long n = std::atol(argv[++i]);
-            if (n < 0) {
-                std::cerr << arg << " requires a non-negative integer\n";
-                return 1;
-            }
-            opts.trace.sampleInterval = static_cast<Tick>(n);
-        } else if (arg == "--fidelity" && i + 1 < argc) {
-            opts.fidelity =
-                flow::parseFidelityOrDie(argv[++i], "--fidelity");
-        } else {
-            std::cerr << "usage: " << name
-                      << " [--jobs N] [--shards N] [--trace-out DIR]"
-                         " [--trace-level off|links|packets|full]"
-                         " [--sample-interval TICKS]"
-                         " [--fidelity cycle|flow|hybrid]\n";
-            return arg == "--help" || arg == "-h" ? 0 : 1;
-        }
+        std::cerr << "usage: " << name
+                  << " [--jobs N] [--shards N] [--trace-out DIR]"
+                     " [--trace-level off|links|packets|full]"
+                     " [--sample-interval TICKS]"
+                     " [--fidelity cycle|flow|hybrid]\n";
+        return arg == "--help" || arg == "-h" ? 0 : 1;
     }
-    // Asking for output or sampling without naming a tier means the
-    // caller wants tracing; default to the packet tier (mirrors
-    // TraceOptions::fromEnv).
-    if (!explicit_level && !opts.trace.enabled() &&
-        (!opts.trace.outDir.empty() || opts.trace.sampleInterval > 0))
-        opts.trace.level = obs::TraceLevel::Packets;
-    if (opts.fidelity != flow::Fidelity::Cycle && opts.shards > 1) {
-        std::cerr << "--fidelity " << flow::fidelityName(opts.fidelity)
-                  << " requires --shards 1 (the flow lane is a "
-                     "single-engine fast path)\n";
-        return 1;
-    }
+    SchedulerOptions opts;
+    harness::overlayEnv(opts.run, flags, &opts.workers);
+    obs::Telemetry::instance().start(obs::TelemetryOptions::fromEnv());
     ResultCache cache;
     Scheduler scheduler(opts, &cache);
     FigureContext ctx{scheduler, std::cout};

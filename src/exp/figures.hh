@@ -47,13 +47,12 @@ const Figure *findFigure(const std::string &name);
 
 /**
  * Entry point for the per-figure binaries: run one figure on stdout
- * with a private cache. Worker count comes from NETCRAFTER_JOBS
- * (default: one per hardware thread) and the intra-run shard count
- * from NETCRAFTER_SHARDS (default 1 = serial); the argv form also
- * accepts `--jobs N` and `--shards N`, which take precedence over the
- * environment. Returns a process exit code.
+ * with a private cache. Takes the shared run flags (--jobs, --shards,
+ * --fidelity, --trace-out, --trace-level, --sample-interval) over
+ * their NETCRAFTER_* variables (harness::overlayEnv), and starts
+ * telemetry from the NETCRAFTER_HEARTBEAT_* / _WATCHDOG_* environment.
+ * Returns a process exit code.
  */
-int figureMain(const std::string &name);
 int figureMain(const std::string &name, int argc, char **argv);
 
 // --- Shared helpers (previously in bench/bench_common.hh) -------------

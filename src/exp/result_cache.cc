@@ -3,16 +3,10 @@
 namespace netcrafter::exp {
 
 CacheKey
-keyOf(const Job &job)
+keyOf(const harness::RunSpec &spec)
 {
-    return keyOf(job, flow::Fidelity::Cycle);
-}
-
-CacheKey
-keyOf(const Job &job, flow::Fidelity fidelity)
-{
-    return CacheKey{job.workload, job.config.digest(), job.scale,
-                    job.serve.digest(), fidelity};
+    return CacheKey{spec.workload, spec.config.digest(), spec.scale,
+                    spec.serve.digest(), spec.fidelity};
 }
 
 harness::RunResult

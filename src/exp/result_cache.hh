@@ -22,7 +22,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/exp/sweep.hh"
 #include "src/flow/fidelity.hh"
 #include "src/harness/runner.hh"
 
@@ -69,11 +68,8 @@ struct CacheKey
     }
 };
 
-/** The key identifying @p job's simulation point at cycle fidelity. */
-CacheKey keyOf(const Job &job);
-
-/** The key identifying @p job's simulation point at @p fidelity. */
-CacheKey keyOf(const Job &job, flow::Fidelity fidelity);
+/** The key identifying the simulation point @p spec runs. */
+CacheKey keyOf(const harness::RunSpec &spec);
 
 class ResultCache
 {

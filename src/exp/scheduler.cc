@@ -8,11 +8,30 @@
 #include <sstream>
 #include <thread>
 
-#include "src/config/exec_config.hh"
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 #include "src/obs/telemetry.hh"
 #include "src/sim/logging.hh"
 
 namespace netcrafter::exp {
+
+unsigned
+hostCpus()
+{
+#if defined(__linux__)
+    cpu_set_t mask;
+    CPU_ZERO(&mask);
+    if (sched_getaffinity(0, sizeof(mask), &mask) == 0) {
+        const int count = CPU_COUNT(&mask);
+        if (count > 0)
+            return static_cast<unsigned>(count);
+    }
+#endif
+    const unsigned hw = std::thread::hardware_concurrency();
+    return hw > 0 ? hw : 1;
+}
 
 const harness::RunResult &
 SweepResult::at(const std::string &job_name) const
@@ -27,17 +46,14 @@ Scheduler::Scheduler(Options opts, ResultCache *cache)
     : opts_(opts), cache_(cache),
       epoch_(std::chrono::steady_clock::now())
 {
-    shards_ = opts.shards != 0 ? opts.shards : 1;
+    shards_ = opts.run.shards != 0 ? opts.run.shards : 1;
     if (opts.workers != 0) {
         workers_ = opts.workers;
     } else {
         // Auto-cap so run-level workers x intra-run shards never
         // oversubscribes the host: each job may occupy up to shards_
         // threads while it executes.
-        unsigned hw = std::thread::hardware_concurrency();
-        if (hw == 0)
-            hw = 1;
-        workers_ = std::max(1u, hw / shards_);
+        workers_ = std::max(1u, hostCpus() / shards_);
     }
 }
 
@@ -47,34 +63,24 @@ Scheduler::runJob(const Job &job, JobTiming &timing)
     const auto t0 = std::chrono::steady_clock::now();
     timing.startSeconds =
         std::chrono::duration<double>(t0 - epoch_).count();
-    // With tracing requested the explicit options override the
-    // NETCRAFTER_TRACE_* environment; fidelity always comes from the
-    // options (whose default already consulted NETCRAFTER_FIDELITY).
-    auto simulate = [&] {
-        const obs::TraceOptions trace = opts_.trace.enabled()
-                                            ? opts_.trace
-                                            : obs::TraceOptions::fromEnv();
-        const sim::ExecPolicy exec = config::execPolicyFromEnv();
-        if (job.serve.enabled) {
-            return harness::runServe(job.serve, job.config, job.scale,
-                                     shards_, trace, exec,
-                                     opts_.fidelity);
-        }
-        return harness::runWorkload(job.workload, job.config, job.scale,
-                                    shards_, trace, exec,
-                                    opts_.fidelity);
-    };
+    harness::RunSpec spec = opts_.run;
+    spec.workload = job.workload;
+    spec.serve = job.serve;
+    spec.config = job.config;
+    spec.scale = job.scale * opts_.run.scale;
+    spec.shards = shards_;
     harness::RunResult result;
     if (cache_ != nullptr) {
-        // The cache key deliberately excludes shards_: sharding is an
-        // execution strategy, not a design point, and results are
-        // bit-identical across shard counts. Fidelity, by contrast, is
-        // part of the key — approximate results must never answer an
+        // The cache key deliberately excludes shards_ and the execution
+        // policy: they are execution strategies, not design points, and
+        // results are bit-identical across them. Fidelity, by contrast,
+        // is part of the key — approximate results must never answer an
         // exact request.
-        result = cache_->getOrRun(keyOf(job, opts_.fidelity), simulate,
-                                  &timing.cacheHit);
+        result = cache_->getOrRun(
+            keyOf(spec), [&] { return harness::run(spec); },
+            &timing.cacheHit);
     } else {
-        result = simulate();
+        result = harness::run(spec);
     }
     timing.name = job.name;
     timing.seconds = std::chrono::duration<double>(
@@ -108,7 +114,7 @@ Scheduler::run(const SweepSpec &spec)
     // otherwise the counters only feed an already-running sampler.
     if (opts_.progress == ProgressMode::Live &&
         !obs::Telemetry::instance().running()) {
-        obs::TelemetryOptions topts = obs::TelemetryOptions::fromEnv();
+        obs::TelemetryOptions topts;
         topts.tty = true;
         obs::Telemetry::instance().start(topts);
     }

@@ -1,10 +1,12 @@
 /**
  * @file
  * Thread-pool sweep scheduler. Jobs of a SweepSpec are independent
- * single-threaded simulations, so the pool runs them concurrently
- * across cores; every job is a pure function of its (workload, config,
- * scale) triple, which makes parallel results bit-identical to a serial
- * run regardless of worker count or completion order.
+ * simulations, so the pool runs them concurrently across cores. A job
+ * says what to simulate (workload, config, scale, serving scenario);
+ * SchedulerOptions::run says how (shards, execution policy, fidelity,
+ * tracing, a scale multiplier). Each job runs as one harness::RunSpec,
+ * a pure function of both, which makes parallel results bit-identical
+ * to a serial run regardless of worker count or completion order.
  */
 
 #ifndef NETCRAFTER_EXP_SCHEDULER_HH
@@ -20,7 +22,6 @@
 
 #include "src/exp/result_cache.hh"
 #include "src/exp/sweep.hh"
-#include "src/flow/fidelity.hh"
 #include "src/harness/runner.hh"
 
 namespace netcrafter::exp {
@@ -81,20 +82,22 @@ enum class ProgressMode
     Live,
 };
 
+/**
+ * CPUs this process may run on: the scheduling affinity mask, which
+ * unlike std::thread::hardware_concurrency() honors cgroup cpusets,
+ * taskset and CI runner limits. Falls back to hardware_concurrency(),
+ * floor of 1.
+ */
+unsigned hostCpus();
+
 struct SchedulerOptions
 {
-    /** Worker threads; 0 = one per hardware thread. */
-    unsigned workers = 0;
-
     /**
-     * Engine shards per simulation (see sim::ShardedEngine); 0 or 1 =
-     * serial. With shards > 1 each job occupies up to @p shards host
-     * threads, so the default worker count is divided by the shard
-     * count — run-level workers times intra-run shards never
-     * oversubscribes the machine. An explicit @p workers value is
-     * honored as given.
+     * Worker threads; 0 = one per usable host CPU (hostCpus()) divided
+     * by run.shards, so run-level workers times intra-run shards never
+     * oversubscribes the machine. An explicit value is honored as given.
      */
-    unsigned shards = 1;
+    unsigned workers = 0;
 
     /** Progress reporting; see ProgressMode. */
     ProgressMode progress = ProgressMode::Off;
@@ -103,19 +106,15 @@ struct SchedulerOptions
     std::ostream *log = nullptr;
 
     /**
-     * Trace options handed to every simulated job. Disabled by default;
-     * when enabled, jobs satisfied from the result cache still produce
-     * no trace files (no simulation ran).
+     * How every job runs. Each job's spec is a copy of this one with
+     * workload, config and serving scenario taken from the Job and
+     * scale multiplied by the job's scale (run.scale is the
+     * --scale / NETCRAFTER_SCALE multiplier; the cache keys on the
+     * product, the scale the job simulates). run.shards 0 means 1.
+     * run.fidelity is part of the cache key; run.shards and run.exec
+     * are not. Jobs satisfied from the cache write no trace files.
      */
-    obs::TraceOptions trace{};
-
-    /**
-     * Simulation fidelity for every job. Defaults to the validated
-     * NETCRAFTER_FIDELITY environment (unset = cycle-accurate). Part
-     * of the cache key: jobs running at different fidelities never
-     * share results.
-     */
-    flow::Fidelity fidelity = flow::fidelityFromEnv();
+    harness::RunSpec run{};
 };
 
 class Scheduler

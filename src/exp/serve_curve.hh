@@ -43,7 +43,7 @@ struct ServeCurveSpec
     /** Configurations to draw one curve each for. */
     std::vector<ConfigPoint> configs;
 
-    /** Extra footprint multiplier on top of envScale(). */
+    /** Footprint multiplier (times SchedulerOptions::run.scale). */
     double scale = 1.0;
 
     /**

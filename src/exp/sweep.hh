@@ -34,13 +34,13 @@ struct Job
 
     config::SystemConfig config;
 
-    /** Extra problem-size multiplier on top of envScale(). */
+    /** Problem-size multiplier (times SchedulerOptions::run.scale). */
     double scale = 1.0;
 
     /**
-     * Open-loop serving scenario. When enabled the scheduler runs
-     * harness::runServe instead of runWorkload, and the serve digest
-     * becomes part of the job's cache identity.
+     * Open-loop serving scenario. When enabled the job serves it
+     * instead of running @p workload, and the serve digest becomes
+     * part of the job's cache identity.
      */
     serve::ServeConfig serve;
 };

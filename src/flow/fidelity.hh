@@ -20,7 +20,6 @@
 #ifndef NETCRAFTER_FLOW_FIDELITY_HH
 #define NETCRAFTER_FLOW_FIDELITY_HH
 
-#include <cstdint>
 #include <optional>
 #include <string>
 
@@ -51,41 +50,6 @@ std::optional<Fidelity> parseFidelity(const std::string &text);
  * value in the error message.
  */
 Fidelity parseFidelityOrDie(const std::string &text, const char *what);
-
-/**
- * Fidelity requested through the NETCRAFTER_FIDELITY environment
- * variable; @p fallback when unset. Garbage values are fatal, not
- * ignored: a sweep silently running at the wrong fidelity is far worse
- * than an early exit.
- */
-Fidelity fidelityFromEnv(Fidelity fallback = Fidelity::Cycle);
-
-/**
- * Parse one NETCRAFTER_FLOW_EPOCH_TICKS value: the hybrid/flow lane
- * classification epoch length in ticks, >= 1 (capped at 2^30). Zero,
- * negatives, and garbage are fatal.
- */
-std::uint64_t parseFlowEpochTicksEnv(const char *text);
-
-/**
- * Parse one NETCRAFTER_FLOW_STABLE_EPOCHS value: stable epochs a lane
- * must string together before the hybrid mode hands it to the flow
- * model, >= 1 (capped at 2^20). Zero, negatives, and garbage are
- * fatal.
- */
-std::uint32_t parseFlowStableEpochsEnv(const char *text);
-
-/**
- * NETCRAFTER_FLOW_EPOCH_TICKS from the environment, or @p fallback
- * when unset. Invalid values are fatal.
- */
-std::uint64_t flowEpochTicksFromEnv(std::uint64_t fallback);
-
-/**
- * NETCRAFTER_FLOW_STABLE_EPOCHS from the environment, or @p fallback
- * when unset. Invalid values are fatal.
- */
-std::uint32_t flowStableEpochsFromEnv(std::uint32_t fallback);
 
 } // namespace netcrafter::flow
 

@@ -26,8 +26,6 @@ constexpr Rate kStableSlack = kRateOne / 4;
 FidelityController::FidelityController(const config::SystemConfig &cfg,
                                        Fidelity fidelity)
     : cfg_(cfg), fidelity_(fidelity),
-      epochTicks_(flowEpochTicksFromEnv(kDefaultEpochTicks)),
-      stableEpochs_(flowStableEpochsFromEnv(kDefaultStableEpochs)),
       trimEngine_(cfg.netcrafter.trimGranularity)
 {
     NC_ASSERT(fidelity != Fidelity::Cycle,
@@ -98,8 +96,8 @@ FidelityController::advanceEpochs(Lane &lane, Tick now)
     // landing before the lane's current epoch simply count into it.
     if (now < lane.epochStart)
         return;
-    while (now - lane.epochStart >= epochTicks_) {
-        const Rate rate = (lane.epochBytes << 16) / epochTicks_;
+    while (now - lane.epochStart >= kDefaultEpochTicks) {
+        const Rate rate = (lane.epochBytes << 16) / kDefaultEpochTicks;
         lane.epochBytes = 0;
         ++stats_.epochsClosed;
 
@@ -113,10 +111,10 @@ FidelityController::advanceEpochs(Lane &lane, Tick now)
         }
 
         if (stable) {
-            if (lane.stableEpochs < stableEpochs_)
+            if (lane.stableEpochs < kDefaultStableEpochs)
                 ++lane.stableEpochs;
             if (!lane.flowLane && fidelity_ == Fidelity::Hybrid &&
-                lane.stableEpochs >= stableEpochs_) {
+                lane.stableEpochs >= kDefaultStableEpochs) {
                 lane.flowLane = true;
                 ++stats_.laneActivations;
                 // Live-telemetry gauge: hybrid lanes currently riding
@@ -142,13 +140,13 @@ FidelityController::advanceEpochs(Lane &lane, Tick now)
             }
         }
 
-        lane.epochStart += epochTicks_;
-        if (now - lane.epochStart >= 4 * epochTicks_) {
+        lane.epochStart += kDefaultEpochTicks;
+        if (now - lane.epochStart >= 4 * kDefaultEpochTicks) {
             // Long idle gap: one zero-rate close settles the lane,
             // then jump to the epoch containing `now` (still aligned
-            // to epochTicks_ multiples) instead of looping per epoch.
+            // to epoch multiples) instead of looping per epoch.
             lane.lastRate = 0;
-            if (lane.stableEpochs < stableEpochs_)
+            if (lane.stableEpochs < kDefaultStableEpochs)
                 ++lane.stableEpochs;
             if (lane.hasFlow) {
                 model_.setDemand(lane.flow, 0);
@@ -156,7 +154,7 @@ FidelityController::advanceEpochs(Lane &lane, Tick now)
             }
             ++stats_.epochsClosed;
             lane.epochStart =
-                now - (now - lane.epochStart) % epochTicks_;
+                now - (now - lane.epochStart) % kDefaultEpochTicks;
         }
     }
 }

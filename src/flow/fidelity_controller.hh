@@ -26,8 +26,8 @@
  *    padding and puts zero flits on the wire).
  *  - Per-(link, epoch) lane classification for Hybrid mode: every lane
  *    starts on the cycle-accurate flit path, hands over to the flow
- *    model after `stableEpochs()` epochs of stable measured rate, and
- *    escalates back the moment the rate swings. Conversion is
+ *    model after `kDefaultStableEpochs` epochs of stable measured
+ *    rate, and escalates back the moment the rate swings. Conversion is
  *    deterministic and happens at epoch boundaries only.
  *  - Census crediting: each flow-lane packet synthesizes exactly the
  *    flits it would have produced into the inter-cluster TrafficMonitor
@@ -80,24 +80,16 @@ struct FlowLaneStats
 class FidelityController
 {
   public:
-    /** Default epoch length for rate measurement and lane
-     *  classification; NETCRAFTER_FLOW_EPOCH_TICKS overrides it. */
+    /** Epoch length for rate measurement and lane classification. */
     static constexpr Tick kDefaultEpochTicks = 256;
 
-    /** Default stable epochs required before a lane joins the flow
-     *  model; NETCRAFTER_FLOW_STABLE_EPOCHS overrides it. */
+    /** Stable epochs required before a lane joins the flow model. */
     static constexpr std::uint32_t kDefaultStableEpochs = 4;
 
     FidelityController(const config::SystemConfig &cfg,
                        Fidelity fidelity);
 
     Fidelity fidelity() const { return fidelity_; }
-
-    /** Epoch length in ticks this controller classifies lanes with. */
-    Tick epochTicks() const { return epochTicks_; }
-
-    /** Stable epochs required before a hybrid lane hands over. */
-    std::uint32_t stableEpochs() const { return stableEpochs_; }
 
     /**
      * Attach the census sinks of the directed inter-cluster link
@@ -208,13 +200,6 @@ class FidelityController
 
     const config::SystemConfig &cfg_;
     Fidelity fidelity_;
-
-    /** Handover knobs, fixed at construction (see the env parsers in
-     *  src/flow/fidelity.hh). The epoch length is a simulation
-     *  parameter: changing it changes flow/hybrid results, which is
-     *  why it is read once here and not consulted mid-run. */
-    Tick epochTicks_ = kDefaultEpochTicks;
-    std::uint32_t stableEpochs_ = kDefaultStableEpochs;
 
     FlowModel model_;
 

@@ -2,20 +2,17 @@
 
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <vector>
 
-#include "src/config/exec_config.hh"
 #include "src/gpu/system.hh"
 #include "src/obs/chrome_trace.hh"
 #include "src/serve/session.hh"
 #include "src/obs/interval_sampler.hh"
 #include "src/obs/lifecycle.hh"
 #include "src/obs/progress_board.hh"
-#include "src/obs/telemetry.hh"
 #include "src/obs/trace_buffer.hh"
 #include "src/sim/logging.hh"
 #include "src/sim/pool.hh"
@@ -28,14 +25,13 @@ namespace {
 
 /** Per-run output path prefix inside the trace directory. */
 std::string
-traceFileBase(const obs::TraceOptions &trace,
-              const std::string &workload,
-              const config::SystemConfig &cfg, double scale,
+traceFileBase(const RunSpec &spec, const std::string &workload,
               unsigned shards)
 {
     std::ostringstream base;
-    base << trace.outDir << '/' << workload << '-'
-         << config::digestHex(cfg) << "-s" << scale << "-n" << shards;
+    base << spec.trace.outDir << '/' << workload << '-'
+         << config::digestHex(spec.config) << "-s" << spec.scale
+         << "-n" << shards;
     return base.str();
 }
 
@@ -169,10 +165,10 @@ collectSystemStats(RunResult &r, gpu::MultiGpuSystem &system,
 /** Write the per-run trace artifacts and fill the trace census. */
 void
 exportTraceArtifacts(RunResult &r, gpu::MultiGpuSystem &system,
-                     const obs::TraceOptions &trace,
-                     const std::string &name,
-                     const config::SystemConfig &cfg, double scale)
+                     const RunSpec &spec)
 {
+    const obs::TraceOptions &trace = spec.trace;
+    const std::string &name = r.workload;
     if (system.traceSink() != nullptr) {
         const auto t_export = std::chrono::steady_clock::now();
         const obs::TraceSink &sink = *system.traceSink();
@@ -196,8 +192,8 @@ exportTraceArtifacts(RunResult &r, gpu::MultiGpuSystem &system,
 
         if (!trace.outDir.empty()) {
             std::filesystem::create_directories(trace.outDir);
-            const std::string base = traceFileBase(
-                trace, name, cfg, scale, system.numShards());
+            const std::string base =
+                traceFileBase(spec, name, system.numShards());
             {
                 std::ofstream os(base + ".trace.json");
                 obs::writeSimChromeTrace(merged, sink.laneNames(), os);
@@ -250,115 +246,11 @@ finishTiming(RunResult &r,
     }
 }
 
-} // namespace
-
-RunResult
-runWorkload(const std::string &workload_name,
-            const config::SystemConfig &cfg, double scale,
-            unsigned shards)
+/** Fill the serve_* fields from a serving session's report. */
+void
+collectServeStats(RunResult &r, const serve::ServeConfig &serve,
+                  const serve::ServeReport &report)
 {
-    return runWorkload(workload_name, cfg, scale, shards,
-                       obs::TraceOptions::fromEnv(),
-                       config::execPolicyFromEnv());
-}
-
-RunResult
-runWorkload(const std::string &workload_name,
-            const config::SystemConfig &cfg, double scale,
-            unsigned shards, const obs::TraceOptions &trace)
-{
-    return runWorkload(workload_name, cfg, scale, shards, trace,
-                       config::execPolicyFromEnv());
-}
-
-RunResult
-runWorkload(const std::string &workload_name,
-            const config::SystemConfig &cfg, double scale,
-            unsigned shards, const obs::TraceOptions &trace,
-            const sim::ExecPolicy &exec)
-{
-    return runWorkload(workload_name, cfg, scale, shards, trace, exec,
-                       flow::fidelityFromEnv());
-}
-
-RunResult
-runWorkload(const std::string &workload_name,
-            const config::SystemConfig &cfg, double scale,
-            unsigned shards, const obs::TraceOptions &trace,
-            const sim::ExecPolicy &exec, flow::Fidelity fidelity)
-{
-    obs::Telemetry::instance().ensureStartedFromEnv();
-    const auto t_start = std::chrono::steady_clock::now();
-    const std::uint64_t warn0 = netcrafter::suppressedWarnCount();
-
-    auto workload = workloads::makeWorkload(workload_name);
-    gpu::MultiGpuSystem system(cfg, shards, trace, exec, fidelity);
-    system.run(*workload, scale * envScale());
-
-    RunResult r;
-    r.workload = workload_name;
-    collectSystemStats(r, system, cfg);
-    r.warningsSuppressed = netcrafter::suppressedWarnCount() - warn0;
-    exportTraceArtifacts(r, system, trace, workload_name, cfg, scale);
-    finishTiming(r, t_start);
-    return r;
-}
-
-RunResult
-runServe(const serve::ServeConfig &serve,
-         const config::SystemConfig &cfg, double scale,
-         unsigned shards)
-{
-    return runServe(serve, cfg, scale, shards,
-                    obs::TraceOptions::fromEnv(),
-                    config::execPolicyFromEnv());
-}
-
-RunResult
-runServe(const serve::ServeConfig &serve,
-         const config::SystemConfig &cfg, double scale,
-         unsigned shards, const obs::TraceOptions &trace)
-{
-    return runServe(serve, cfg, scale, shards, trace,
-                    config::execPolicyFromEnv());
-}
-
-RunResult
-runServe(const serve::ServeConfig &serve,
-         const config::SystemConfig &cfg, double scale,
-         unsigned shards, const obs::TraceOptions &trace,
-         const sim::ExecPolicy &exec)
-{
-    return runServe(serve, cfg, scale, shards, trace, exec,
-                    flow::fidelityFromEnv());
-}
-
-RunResult
-runServe(const serve::ServeConfig &serve,
-         const config::SystemConfig &cfg, double scale,
-         unsigned shards, const obs::TraceOptions &trace,
-         const sim::ExecPolicy &exec, flow::Fidelity fidelity)
-{
-    NC_ASSERT(serve.enabled, "runServe with serving disabled");
-    obs::Telemetry::instance().ensureStartedFromEnv();
-    const auto t_start = std::chrono::steady_clock::now();
-    const std::uint64_t warn0 = netcrafter::suppressedWarnCount();
-
-    gpu::MultiGpuSystem system(cfg, shards, trace, exec, fidelity);
-    serve::ServeSession session(system, serve, scale * envScale());
-    const serve::ServeReport report = session.run();
-    if (report.status != sim::RunStatus::Drained) {
-        NC_FATAL("serving run (", serve.toString(),
-                 ") exceeded the cycle limit - the offered load is "
-                 "beyond saturation or the limit is undersized");
-    }
-
-    RunResult r;
-    r.workload =
-        std::string("serve-") + serve::arrivalKindName(serve.arrival);
-    collectSystemStats(r, system, cfg);
-    r.warningsSuppressed = netcrafter::suppressedWarnCount() - warn0;
-
     r.offeredLoad = serve.offeredLoad;
     r.serveInjected = report.injected;
     r.serveMeasured = report.measured;
@@ -378,8 +270,42 @@ runServe(const serve::ServeConfig &serve,
     for (std::size_t c = 0; c < serve::kNumTrafficClasses; ++c)
         r.serveClasses[c] = toResult(report.perClass[c]);
     r.serveClasses[3] = toResult(report.aggregate);
+}
 
-    exportTraceArtifacts(r, system, trace, r.workload, cfg, scale);
+} // namespace
+
+RunResult
+run(const RunSpec &spec)
+{
+    const auto t_start = std::chrono::steady_clock::now();
+    const std::uint64_t warn0 = netcrafter::suppressedWarnCount();
+
+    RunResult r;
+    // Outlives the system, which may point into its kernels until
+    // teardown.
+    const workloads::WorkloadPtr workload =
+        spec.serve.enabled ? nullptr
+                           : workloads::makeWorkload(spec.workload);
+    gpu::MultiGpuSystem system(spec.config, spec.shards, spec.trace,
+                               spec.exec, spec.fidelity);
+    if (spec.serve.enabled) {
+        serve::ServeSession session(system, spec.serve, spec.scale);
+        const serve::ServeReport report = session.run();
+        if (report.status != sim::RunStatus::Drained) {
+            NC_FATAL("serving run (", spec.serve.toString(),
+                     ") exceeded the cycle limit - the offered load is "
+                     "beyond saturation or the limit is undersized");
+        }
+        r.workload = std::string("serve-") +
+                     serve::arrivalKindName(spec.serve.arrival);
+        collectServeStats(r, spec.serve, report);
+    } else {
+        system.run(*workload, spec.scale);
+        r.workload = spec.workload;
+    }
+    collectSystemStats(r, system, spec.config);
+    r.warningsSuppressed = netcrafter::suppressedWarnCount() - warn0;
+    exportTraceArtifacts(r, system, spec);
     finishTiming(r, t_start);
     return r;
 }
@@ -395,106 +321,6 @@ geomean(const std::vector<double> &xs)
         log_sum += std::log(x);
     }
     return std::exp(log_sum / static_cast<double>(xs.size()));
-}
-
-double
-parseScaleEnv(const char *text)
-{
-    char *end = nullptr;
-    const double v = std::strtod(text, &end);
-    if (end == text || *end != '\0' || !std::isfinite(v) || v <= 0) {
-        NC_FATAL("NETCRAFTER_SCALE must be a positive finite number, "
-                 "got '", text, "'");
-    }
-    return v;
-}
-
-unsigned
-parseShardsEnv(const char *text)
-{
-    char *end = nullptr;
-    const long v = std::strtol(text, &end, 10);
-    // strtol saturates overflow at LONG_MAX, so the upper check also
-    // rejects absurdly long digit strings.
-    if (end == text || *end != '\0' || v < 1 || v > (1L << 16)) {
-        NC_FATAL("NETCRAFTER_SHARDS must be a positive shard count, "
-                 "got '", text, "'");
-    }
-    return static_cast<unsigned>(v);
-}
-
-double
-parseServeLoadEnv(const char *text)
-{
-    char *end = nullptr;
-    const double v = std::strtod(text, &end);
-    if (end == text || *end != '\0' || !std::isfinite(v) || v <= 0) {
-        NC_FATAL("NETCRAFTER_SERVE_LOAD must be a positive finite "
-                 "requests-per-kilocycle rate, got '", text, "'");
-    }
-    return v;
-}
-
-Tick
-parseServeTicksEnv(const char *text, const char *var)
-{
-    char *end = nullptr;
-    const long long v = std::strtoll(text, &end, 10);
-    if (end == text || *end != '\0' || v < 1) {
-        NC_FATAL(var, " must be a positive tick count, got '", text,
-                 "'");
-    }
-    return static_cast<Tick>(v);
-}
-
-std::uint64_t
-parseServeSeedEnv(const char *text)
-{
-    // strtoull silently wraps negatives, so reject a leading '-'
-    // explicitly.
-    if (text[0] == '-')
-        NC_FATAL("NETCRAFTER_SERVE_SEED must be a non-negative "
-                 "integer, got '", text, "'");
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(text, &end, 10);
-    if (end == text || *end != '\0') {
-        NC_FATAL("NETCRAFTER_SERVE_SEED must be a non-negative "
-                 "integer, got '", text, "'");
-    }
-    return static_cast<std::uint64_t>(v);
-}
-
-void
-applyServeEnv(serve::ServeConfig &serve)
-{
-    if (const char *env = std::getenv("NETCRAFTER_SERVE_LOAD"))
-        serve.offeredLoad = parseServeLoadEnv(env);
-    if (const char *env = std::getenv("NETCRAFTER_SERVE_ARRIVAL"))
-        serve.arrival = serve::parseArrivalKind(env);
-    if (const char *env = std::getenv("NETCRAFTER_SERVE_MIX"))
-        serve.mix = serve::parseClassMix(env);
-    if (const char *env = std::getenv("NETCRAFTER_SERVE_WARMUP")) {
-        serve.warmupTicks =
-            parseServeTicksEnv(env, "NETCRAFTER_SERVE_WARMUP");
-    }
-    if (const char *env = std::getenv("NETCRAFTER_SERVE_MEASURE")) {
-        serve.measureTicks =
-            parseServeTicksEnv(env, "NETCRAFTER_SERVE_MEASURE");
-    }
-    if (const char *env = std::getenv("NETCRAFTER_SERVE_SEED"))
-        serve.seed = parseServeSeedEnv(env);
-}
-
-double
-envScale()
-{
-    // The getenv lookup and validation run once; every runWorkload call
-    // afterwards reuses the cached value.
-    static const double scale = [] {
-        const char *env = std::getenv("NETCRAFTER_SCALE");
-        return env == nullptr ? 1.0 : parseScaleEnv(env);
-    }();
-    return scale;
 }
 
 bool

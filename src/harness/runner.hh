@@ -287,132 +287,65 @@ struct RunResult
 };
 
 /**
- * Simulate @p workload_name (a Table 3 abbreviation or "GEMM") under
- * @p cfg. @p scale multiplies per-wavefront instruction counts.
- * @p shards runs the simulation on that many engine shards (clamped to
- * the cluster count); every measured field of the result is identical
- * for every shard count — only the diagnostics differ.
+ * Everything one simulation depends on. A run is a pure function of its
+ * spec: the library reads no run argument from the environment (CLI
+ * entry points fill specs from NETCRAFTER_* variables and flags through
+ * harness::overlayEnv, see env_overlay.hh).
  */
-RunResult runWorkload(const std::string &workload_name,
-                      const config::SystemConfig &cfg,
-                      double scale = 1.0, unsigned shards = 1);
+struct RunSpec
+{
+    /** Table 3 abbreviation or "GEMM"; ignored when serve.enabled. */
+    std::string workload;
 
-/**
- * As above, with explicit trace options instead of the
- * NETCRAFTER_TRACE_* environment (which the 4-argument overload
- * consults). When @p trace names an output directory, the run writes
- * `<outDir>/<workload>-<digest>-s<scale>-n<shards>.{trace.json,
- * host.trace.json,timeseries.csv,stats.json}` — sim-time and host-time
- * Chrome traces, the interval time-series, and the full statistics
- * registry with the folded packet-lifecycle distributions.
- */
-RunResult runWorkload(const std::string &workload_name,
-                      const config::SystemConfig &cfg, double scale,
-                      unsigned shards, const obs::TraceOptions &trace);
+    /**
+     * Open-loop serving scenario. When enabled the run serves it
+     * instead of running @p workload, fills the serve_* result fields,
+     * and names the result "serve-<arrival>".
+     */
+    serve::ServeConfig serve;
 
-/**
- * As above, additionally pinning the execution policy (executor thread
- * count, work stealing) instead of the NETCRAFTER_THREADS /
- * NETCRAFTER_STEAL / NETCRAFTER_STEAL_MIN_BACKLOG environment the
- * 4-argument overload consults. The policy is an execution detail:
- * every measured field is identical for every policy.
- */
-RunResult runWorkload(const std::string &workload_name,
-                      const config::SystemConfig &cfg, double scale,
-                      unsigned shards, const obs::TraceOptions &trace,
-                      const sim::ExecPolicy &exec);
+    config::SystemConfig config;
 
-/**
- * As above, additionally pinning the execution fidelity instead of the
- * validated NETCRAFTER_FIDELITY environment every other overload
- * consults (unset = cycle). Fidelity is run metadata, not a config
- * field: flow/hybrid runs approximate the cycle measurement (the
- * validation harness bounds the error), so results from different
- * fidelities must never be conflated — exp::ResultCache keys on it.
- */
-RunResult runWorkload(const std::string &workload_name,
-                      const config::SystemConfig &cfg, double scale,
-                      unsigned shards, const obs::TraceOptions &trace,
-                      const sim::ExecPolicy &exec,
-                      flow::Fidelity fidelity);
+    /** Problem-size multiplier (per-wavefront instruction counts, or
+     *  the serving footprint). */
+    double scale = 1.0;
 
-/**
- * Run one open-loop serving scenario (@p serve must be enabled) on a
- * system built from @p cfg and fill the serve_* fields alongside every
- * ordinary measurement. The result's workload name is
- * "serve-<arrival>". Like runWorkload, all measured fields are
- * identical for every shard count.
- */
-RunResult runServe(const serve::ServeConfig &serve,
-                   const config::SystemConfig &cfg, double scale = 1.0,
-                   unsigned shards = 1);
+    /**
+     * Engine shards (see sim::ShardedEngine); more than the cluster
+     * count is fatal. Every measured field of the result is identical
+     * for every shard count - only the diagnostics differ.
+     */
+    unsigned shards = 1;
 
-/** As above with explicit trace options (see the runWorkload overload). */
-RunResult runServe(const serve::ServeConfig &serve,
-                   const config::SystemConfig &cfg, double scale,
-                   unsigned shards, const obs::TraceOptions &trace);
+    /** Executor threads and work stealing: an execution detail that
+     *  never changes a measurement. */
+    sim::ExecPolicy exec{};
 
-/** As above with an explicit execution policy (see runWorkload). */
-RunResult runServe(const serve::ServeConfig &serve,
-                   const config::SystemConfig &cfg, double scale,
-                   unsigned shards, const obs::TraceOptions &trace,
-                   const sim::ExecPolicy &exec);
+    /**
+     * Execution fidelity. Run metadata, not a config field: flow and
+     * hybrid runs approximate the cycle measurement (the validation
+     * harness bounds the error), so results from different fidelities
+     * must never be conflated - exp::ResultCache keys on it. Non-cycle
+     * fidelities require shards == 1.
+     */
+    flow::Fidelity fidelity = flow::Fidelity::Cycle;
 
-/** As above with an explicit fidelity (see the runWorkload overload). */
-RunResult runServe(const serve::ServeConfig &serve,
-                   const config::SystemConfig &cfg, double scale,
-                   unsigned shards, const obs::TraceOptions &trace,
-                   const sim::ExecPolicy &exec,
-                   flow::Fidelity fidelity);
+    /**
+     * Tracing, disabled by default. When it names an output directory
+     * the run writes `<outDir>/<workload>-<digest>-s<scale>-n<shards>.
+     * {trace.json,host.trace.json,timeseries.csv,stats.json}`: sim-time
+     * and host-time Chrome traces, the interval time-series, and the
+     * full statistics registry with the folded packet-lifecycle
+     * distributions.
+     */
+    obs::TraceOptions trace{};
+};
+
+/** Simulate @p spec and extract every statistic the figures need. */
+RunResult run(const RunSpec &spec);
 
 /** Geometric mean of a sequence of positive ratios. */
 double geomean(const std::vector<double> &xs);
-
-/**
- * Problem-size multiplier from the NETCRAFTER_SCALE environment
- * variable (default 1.0) — lets CI shrink or enlarge every experiment.
- * The lookup is cached after the first call; invalid values (anything
- * not a positive finite number) are fatal.
- */
-double envScale();
-
-/** Parse and validate one NETCRAFTER_SCALE value; NC_FATAL on bad input. */
-double parseScaleEnv(const char *text);
-
-/**
- * Parse and validate one NETCRAFTER_SHARDS value: a positive integer
- * shard count (sanely capped at 65536). Zero, negative numbers, and
- * garbage are fatal — silently running serial on a typo would make
- * every "parallel" benchmark lie.
- */
-unsigned parseShardsEnv(const char *text);
-
-/**
- * Parse one NETCRAFTER_SERVE_LOAD value: offered load in requests per
- * kilocycle, a positive finite number. Zero, negatives, and garbage
- * are fatal.
- */
-double parseServeLoadEnv(const char *text);
-
-/**
- * Parse one NETCRAFTER_SERVE_WARMUP / NETCRAFTER_SERVE_MEASURE value
- * (@p var names the variable for the error message): a positive tick
- * count. Zero, negatives, and garbage are fatal.
- */
-Tick parseServeTicksEnv(const char *text, const char *var);
-
-/** Parse one NETCRAFTER_SERVE_SEED value: a non-negative integer. */
-std::uint64_t parseServeSeedEnv(const char *text);
-
-/**
- * Overlay the NETCRAFTER_SERVE_* environment onto @p serve:
- * _LOAD (requests/kilocycle), _ARRIVAL (poisson|uniform|bursty),
- * _MIX (read:write:ptw weights), _WARMUP / _MEASURE (ticks), and
- * _SEED. Unset variables leave the corresponding field untouched;
- * invalid values are fatal. Does not flip serve.enabled — the caller
- * (a --serve flag, a bench) decides whether serving runs at all.
- */
-void applyServeEnv(serve::ServeConfig &serve);
 
 /**
  * True when @p a and @p b report identical measurements — every field

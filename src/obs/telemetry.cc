@@ -75,26 +75,23 @@ humanCount(double v)
 
 } // namespace
 
-const TelemetryOptions &
+TelemetryOptions
 TelemetryOptions::fromEnv()
 {
-    static const TelemetryOptions opts = [] {
-        TelemetryOptions o;
-        if (const char *v = std::getenv("NETCRAFTER_HEARTBEAT_OUT"))
-            o.heartbeatPath = v;
-        if (const char *v = std::getenv("NETCRAFTER_HEARTBEAT_INTERVAL_MS"))
-            o.intervalMs = parseIntervalEnv(v);
-        if (const char *v = std::getenv("NETCRAFTER_HEARTBEAT_TTY"))
-            o.tty = parseBoolEnv("NETCRAFTER_HEARTBEAT_TTY", v);
-        if (const char *v = std::getenv("NETCRAFTER_WATCHDOG_SECS"))
-            o.watchdogSecs = parseWatchdogSecsEnv(v);
-        if (const char *v = std::getenv("NETCRAFTER_WATCHDOG_DUMP"))
-            o.watchdogDumpPath = v;
-        if (const char *v = std::getenv("NETCRAFTER_WATCHDOG_ABORT"))
-            o.watchdogAbort = parseBoolEnv("NETCRAFTER_WATCHDOG_ABORT", v);
-        return o;
-    }();
-    return opts;
+    TelemetryOptions o;
+    if (const char *v = std::getenv("NETCRAFTER_HEARTBEAT_OUT"))
+        o.heartbeatPath = v;
+    if (const char *v = std::getenv("NETCRAFTER_HEARTBEAT_INTERVAL_MS"))
+        o.intervalMs = parseIntervalEnv(v);
+    if (const char *v = std::getenv("NETCRAFTER_HEARTBEAT_TTY"))
+        o.tty = parseBoolEnv("NETCRAFTER_HEARTBEAT_TTY", v);
+    if (const char *v = std::getenv("NETCRAFTER_WATCHDOG_SECS"))
+        o.watchdogSecs = parseWatchdogSecsEnv(v);
+    if (const char *v = std::getenv("NETCRAFTER_WATCHDOG_DUMP"))
+        o.watchdogDumpPath = v;
+    if (const char *v = std::getenv("NETCRAFTER_WATCHDOG_ABORT"))
+        o.watchdogAbort = parseBoolEnv("NETCRAFTER_WATCHDOG_ABORT", v);
+    return o;
 }
 
 Telemetry &
@@ -158,16 +155,6 @@ Telemetry::stop()
     std::lock_guard<std::mutex> lk(mu_);
     running_.store(false, std::memory_order_release);
     watchdog_.reset();
-}
-
-void
-Telemetry::ensureStartedFromEnv()
-{
-    if (running())
-        return;
-    const TelemetryOptions &opts = TelemetryOptions::fromEnv();
-    if (opts.enabled())
-        start(opts);
 }
 
 void

@@ -12,11 +12,11 @@
  * census) to one with it off. Registration costs one mutex acquisition
  * per run construction/destruction, never per event.
  *
- * Wire-up: `Telemetry::instance()` is process-global. The sweep CLI
- * starts it from flags; the harness starts it from the
- * NETCRAFTER_HEARTBEAT_* / NETCRAFTER_WATCHDOG_* environment
- * (ensureStartedFromEnv) so figure binaries and tests get heartbeats
- * without plumbing. MultiGpuSystem registers its engine's board for the
+ * Wire-up: `Telemetry::instance()` is process-global. CLI entry points
+ * start it once, from the NETCRAFTER_HEARTBEAT_* /
+ * NETCRAFTER_WATCHDOG_* environment (TelemetryOptions::fromEnv) and,
+ * in netcrafter-sweep, flags; the library never starts it from the
+ * environment. MultiGpuSystem registers its engine's board for the
  * lifetime of the system; exp::Scheduler registers a SweepProgress for
  * the lifetime of a sweep.
  */
@@ -82,10 +82,10 @@ struct TelemetryOptions
 
     /**
      * Options from NETCRAFTER_HEARTBEAT_{OUT,INTERVAL_MS,TTY} and
-     * NETCRAFTER_WATCHDOG_{SECS,DUMP,ABORT}, parsed once and cached
-     * (NC_FATAL on junk, same pattern as TraceOptions::fromEnv).
+     * NETCRAFTER_WATCHDOG_{SECS,DUMP,ABORT} (NC_FATAL on junk). Only
+     * CLI entry points call it.
      */
-    static const TelemetryOptions &fromEnv();
+    static TelemetryOptions fromEnv();
 };
 
 /** The process-wide sampler; see the file comment. */
@@ -96,8 +96,7 @@ class Telemetry
 
     /**
      * Start the sampler thread. No-op when already running (the first
-     * configuration wins — a sweep's flags beat the harness's env
-     * fallback because the CLI starts it first).
+     * configuration wins) or when @p opts enables nothing.
      */
     void start(const TelemetryOptions &opts);
 
@@ -108,9 +107,6 @@ class Telemetry
     void stop();
 
     bool running() const { return running_.load(std::memory_order_acquire); }
-
-    /** start(fromEnv()) when the environment asks for telemetry. */
-    void ensureStartedFromEnv();
 
     /**
      * Register a live run: @p board is sampled every interval, @p dump

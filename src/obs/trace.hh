@@ -2,8 +2,7 @@
  * @file
  * Core observability types: trace levels, the 32-byte binary
  * TraceRecord emitted by tracepoints, and the TraceOptions that
- * configure a traced run (from code or from NETCRAFTER_TRACE_*
- * environment variables).
+ * configure a traced run.
  *
  * Design constraints, in priority order:
  *  - zero overhead when disabled: the tracepoint helper (see
@@ -128,9 +127,9 @@ packFlitSeq(std::uint32_t stitched_pieces, std::uint32_t seq)
 
 /**
  * Configuration for one traced run. Default-constructed == disabled.
- * When wired from the CLI/environment the three NETCRAFTER_TRACE_OUT /
- * NETCRAFTER_TRACE_LEVEL / NETCRAFTER_SAMPLE_INTERVAL variables map
- * onto outDir / level / sampleInterval.
+ * CLI entry points fill it from the NETCRAFTER_TRACE_OUT /
+ * NETCRAFTER_TRACE_LEVEL / NETCRAFTER_SAMPLE_INTERVAL variables and
+ * their flags (harness::overlayEnv).
  */
 struct TraceOptions
 {
@@ -160,15 +159,12 @@ struct TraceOptions
     bool enabled() const { return level != TraceLevel::Off; }
 
     /**
-     * Options from the NETCRAFTER_TRACE_* environment, parsed once and
-     * cached (same pattern as harness::envScale). Setting
-     * NETCRAFTER_TRACE_OUT or NETCRAFTER_SAMPLE_INTERVAL without an
-     * explicit level implies level=packets.
+     * Parse "off"/"links"/"packets"/"full" (NC_FATAL on junk). A
+     * non-null @p what (the flag or variable the text came from)
+     * prefixes the message.
      */
-    static const TraceOptions &fromEnv();
-
-    /** Parse "off"/"links"/"packets"/"full" (NC_FATAL on junk). */
-    static TraceLevel parseLevel(const std::string &text);
+    static TraceLevel parseLevel(const std::string &text,
+                                 const char *what = nullptr);
 
     /** Inverse of parseLevel. */
     static const char *levelName(TraceLevel level);

@@ -1,7 +1,6 @@
 #include "src/obs/trace_buffer.hh"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "src/sim/logging.hh"
 
@@ -39,36 +38,8 @@ traceStageName(TraceStage stage)
     return "(invalid)";
 }
 
-const TraceOptions &
-TraceOptions::fromEnv()
-{
-    static const TraceOptions opts = [] {
-        TraceOptions o;
-        const char *out = std::getenv("NETCRAFTER_TRACE_OUT");
-        const char *level = std::getenv("NETCRAFTER_TRACE_LEVEL");
-        const char *interval = std::getenv("NETCRAFTER_SAMPLE_INTERVAL");
-        if (out != nullptr)
-            o.outDir = out;
-        if (interval != nullptr) {
-            char *end = nullptr;
-            const unsigned long long v = std::strtoull(interval, &end, 10);
-            if (end == interval || *end != '\0') {
-                NC_FATAL("NETCRAFTER_SAMPLE_INTERVAL must be a "
-                         "non-negative tick count, got '", interval, "'");
-            }
-            o.sampleInterval = static_cast<Tick>(v);
-        }
-        if (level != nullptr)
-            o.level = parseLevel(level);
-        else if (!o.outDir.empty() || o.sampleInterval > 0)
-            o.level = TraceLevel::Packets;
-        return o;
-    }();
-    return opts;
-}
-
 TraceLevel
-TraceOptions::parseLevel(const std::string &text)
+TraceOptions::parseLevel(const std::string &text, const char *what)
 {
     if (text == "off")
         return TraceLevel::Off;
@@ -78,8 +49,8 @@ TraceOptions::parseLevel(const std::string &text)
         return TraceLevel::Packets;
     if (text == "full")
         return TraceLevel::Full;
-    NC_FATAL("unknown trace level '", text,
-             "' (expected off|links|packets|full)");
+    NC_FATAL(what ? what : "", what ? ": " : "", "unknown trace level '",
+             text, "' (expected off|links|packets|full)");
 }
 
 const char *

@@ -18,7 +18,7 @@ arrivalKindName(ArrivalKind kind)
 }
 
 ArrivalKind
-parseArrivalKind(const std::string &text)
+parseArrivalKind(const std::string &text, const char *what)
 {
     if (text == "poisson")
         return ArrivalKind::Poisson;
@@ -26,7 +26,8 @@ parseArrivalKind(const std::string &text)
         return ArrivalKind::Uniform;
     if (text == "bursty")
         return ArrivalKind::Bursty;
-    NC_FATAL("unknown arrival process '", text,
+    NC_FATAL(what ? what : "", what ? ": " : "",
+             "unknown arrival process '", text,
              "' (want poisson|uniform|bursty)");
 }
 

@@ -41,8 +41,13 @@ enum class ArrivalKind : std::uint8_t
 /** Stable lower-case name ("poisson", "uniform", "bursty"). */
 const char *arrivalKindName(ArrivalKind kind);
 
-/** Inverse of arrivalKindName; NC_FATAL on anything else. */
-ArrivalKind parseArrivalKind(const std::string &text);
+/**
+ * Inverse of arrivalKindName; NC_FATAL on anything else. A non-null
+ * @p what (the flag or variable the text came from) prefixes the
+ * message.
+ */
+ArrivalKind parseArrivalKind(const std::string &text,
+                             const char *what = nullptr);
 
 /** Bursty-process shape knobs (ignored by the other kinds). */
 struct BurstParams

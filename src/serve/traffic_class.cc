@@ -73,29 +73,31 @@ ClassMix::validate() const
 }
 
 ClassMix
-parseClassMix(const std::string &text)
+parseClassMix(const std::string &text, const char *what)
 {
+    const std::string source = what ? std::string(what) + ": " : "";
     ClassMix mix;
     std::size_t pos = 0;
     for (std::size_t c = 0; c < kNumTrafficClasses; ++c) {
         const std::size_t sep = text.find(':', pos);
         const bool last = c + 1 == kNumTrafficClasses;
         if (last != (sep == std::string::npos))
-            NC_FATAL("bad class mix '", text, "' (want read:write:ptw)");
+            NC_FATAL(source, "bad class mix '", text,
+                     "' (want read:write:ptw)");
         const std::string field = text.substr(
             pos, last ? std::string::npos : sep - pos);
         char *end = nullptr;
         const double w = std::strtod(field.c_str(), &end);
         if (field.empty() || end == nullptr || *end != '\0' ||
             !std::isfinite(w) || w < 0.0) {
-            NC_FATAL("bad class-mix weight '", field, "' in '", text,
-                     "'");
+            NC_FATAL(source, "bad class-mix weight '", field, "' in '",
+                     text, "'");
         }
         mix.weight[c] = w;
         pos = sep + 1;
     }
     if (mix.totalWeight() <= 0.0)
-        NC_FATAL("class mix '", text, "' has zero total weight");
+        NC_FATAL(source, "class mix '", text, "' has zero total weight");
     return mix;
 }
 

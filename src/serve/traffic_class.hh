@@ -60,8 +60,12 @@ struct ClassMix
     void validate() const;
 };
 
-/** Parse "r:w:p" (e.g. "0.6:0.25:0.15"); NC_FATAL on junk. */
-ClassMix parseClassMix(const std::string &text);
+/**
+ * Parse "r:w:p" (e.g. "0.6:0.25:0.15"); NC_FATAL on junk. A non-null
+ * @p what (the flag or variable the text came from) prefixes the
+ * message.
+ */
+ClassMix parseClassMix(const std::string &text, const char *what = nullptr);
 
 /**
  * The per-class request kernels, built once per serving session.

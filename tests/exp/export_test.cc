@@ -123,8 +123,11 @@ TEST(ExportRecords, FromSweepAndCacheAgree)
     EXPECT_EQ(from_sweep[0].configDigest,
               config::baselineConfig().digest());
 
+    harness::RunSpec run_spec;
+    run_spec.workload = "GUPS";
+    run_spec.config = config::baselineConfig();
     ResultCache cache;
-    cache.getOrRun(keyOf(spec.jobs()[0]), [&] { return r; });
+    cache.getOrRun(keyOf(run_spec), [&] { return r; });
     const auto from_cache = recordsFromCache(cache);
     ASSERT_EQ(from_cache.size(), 1u);
     EXPECT_EQ(from_cache[0].label, "");

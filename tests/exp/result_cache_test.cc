@@ -21,6 +21,16 @@ fakeResult(Tick cycles)
     return r;
 }
 
+/** A closed-loop spec running @p workload on the baseline system. */
+harness::RunSpec
+baselineSpec(const char *workload)
+{
+    harness::RunSpec spec;
+    spec.workload = workload;
+    spec.config = config::baselineConfig();
+    return spec;
+}
+
 TEST(CacheKey, OrderingAndEquality)
 {
     const CacheKey a{"GUPS", 1, 1.0};
@@ -34,8 +44,8 @@ TEST(CacheKey, OrderingAndEquality)
 
 TEST(CacheKey, KeyOfUsesConfigDigest)
 {
-    Job a{"j1", "GUPS", config::baselineConfig(), 1.0, {}};
-    Job b{"j2", "GUPS", config::baselineConfig(), 1.0, {}};
+    const harness::RunSpec a = baselineSpec("GUPS");
+    harness::RunSpec b = baselineSpec("GUPS");
     EXPECT_TRUE(keyOf(a) == keyOf(b));
 
     b.config.interClusterGBps = 32.0;
@@ -44,14 +54,13 @@ TEST(CacheKey, KeyOfUsesConfigDigest)
 
 TEST(CacheKey, ServeScenarioIsPartOfTheKey)
 {
-    Job a{"j1", "serve-poisson", config::baselineConfig(), 1.0, {}};
+    harness::RunSpec a = baselineSpec("serve-poisson");
     a.serve.enabled = true;
-    Job b = a;
-    b.name = "j2";
+    harness::RunSpec b = a;
     EXPECT_TRUE(keyOf(a) == keyOf(b));
     EXPECT_NE(keyOf(a).serveDigest, 0u);
 
-    // Every serving knob must feed the digest: two jobs differing in
+    // Every serving knob must feed the digest: two specs differing in
     // any of them are distinct simulation points.
     b = a;
     b.serve.offeredLoad = a.serve.offeredLoad * 2;
@@ -80,11 +89,11 @@ TEST(CacheKey, ServeScenarioIsPartOfTheKey)
 
 TEST(CacheKey, ClosedLoopKeysUnchangedByServeFields)
 {
-    // Mirror of the shards-excluded guarantee: a job that never enables
-    // serving keeps the pre-serving cache identity (serveDigest 0), no
-    // matter what the dormant serve fields hold.
-    Job a{"j1", "GUPS", config::baselineConfig(), 1.0, {}};
-    Job b = a;
+    // Mirror of the shards-excluded guarantee: a spec that never
+    // enables serving keeps the pre-serving cache identity (serveDigest
+    // 0), no matter what the dormant serve fields hold.
+    const harness::RunSpec a = baselineSpec("GUPS");
+    harness::RunSpec b = a;
     b.serve.offeredLoad = 99.0;
     b.serve.seed = 1234;
     EXPECT_TRUE(keyOf(a) == keyOf(b));

@@ -9,7 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <thread>
+
+#if defined(__linux__)
+#include <sched.h>
+#endif
 
 #include "src/exp/export.hh"
 #include "src/exp/result_cache.hh"
@@ -71,8 +74,11 @@ TEST(Scheduler, Fig03PointIdenticalSerialAndUnderParallelJobs)
     // serial measurement bit-for-bit — including the hot-path census
     // (near/far event counts, callback-pool high water) that
     // sameMeasurement now also compares.
-    const harness::RunResult serial =
-        harness::runWorkload("GUPS", config::baselineConfig(), 0.05);
+    harness::RunSpec run_spec;
+    run_spec.workload = "GUPS";
+    run_spec.config = config::baselineConfig();
+    run_spec.scale = 0.05;
+    const harness::RunResult serial = harness::run(run_spec);
 
     SweepSpec spec("fig03-point");
     spec.add("base/GUPS", "GUPS", config::baselineConfig(), 0.05);
@@ -167,7 +173,7 @@ TEST(Scheduler, ShardCountIsNotPartOfTheCacheKey)
     ResultCache cache;
     Scheduler::Options serial_opts;
     serial_opts.workers = 1;
-    serial_opts.shards = 1;
+    serial_opts.run.shards = 1;
     Scheduler serial(serial_opts, &cache);
     const SweepResult s = serial.run(spec);
     EXPECT_EQ(s.cacheMisses, 1u);
@@ -175,7 +181,7 @@ TEST(Scheduler, ShardCountIsNotPartOfTheCacheKey)
     for (unsigned shards : {2u, 4u}) {
         Scheduler::Options opts;
         opts.workers = 1;
-        opts.shards = shards;
+        opts.run.shards = shards;
         Scheduler sharded(opts, &cache);
         EXPECT_EQ(sharded.shards(), shards);
         const SweepResult p = sharded.run(spec);
@@ -195,18 +201,64 @@ TEST(Scheduler, ShardsDivideTheAutoWorkerCount)
     // shards must not oversubscribe the host.
     Scheduler::Options opts;
     opts.workers = 0;
-    opts.shards = 4;
+    opts.run.shards = 4;
     Scheduler sched(opts);
-    unsigned hw = std::thread::hardware_concurrency();
-    if (hw == 0)
-        hw = 1;
-    EXPECT_EQ(sched.workers(), std::max(1u, hw / 4));
+    EXPECT_EQ(sched.workers(), std::max(1u, hostCpus() / 4));
     EXPECT_EQ(sched.shards(), 4u);
 
     // An explicit worker count is honored as given.
     opts.workers = 3;
     Scheduler manual(opts);
     EXPECT_EQ(manual.workers(), 3u);
+}
+
+TEST(Scheduler, AutoWorkersFollowTheAffinityMask)
+{
+    // The automatic worker count reads the affinity mask, so a sweep
+    // confined to fewer CPUs than the machine has never oversubscribes
+    // them.
+#if defined(__linux__)
+    cpu_set_t saved;
+    ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+    if (CPU_COUNT(&saved) < 2)
+        GTEST_SKIP() << "needs a host with at least 2 CPUs";
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+        if (CPU_ISSET(cpu, &saved)) {
+            CPU_SET(cpu, &one);
+            break;
+        }
+    }
+    ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+    const unsigned pinned = Scheduler(Scheduler::Options{}).workers();
+    ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+    EXPECT_EQ(pinned, 1u);
+    EXPECT_EQ(Scheduler(Scheduler::Options{}).workers(),
+              static_cast<unsigned>(CPU_COUNT(&saved)));
+#else
+    GTEST_SKIP() << "affinity masks are Linux-only";
+#endif
+}
+
+TEST(Scheduler, CacheKeysOnTheSimulatedScale)
+{
+    // The scale multiplier changes what a job simulates, so two
+    // schedulers sharing a cache with different multipliers must not
+    // answer each other's requests.
+    SweepSpec spec("scaled");
+    spec.add("GUPS", "GUPS", tiny(), 0.1);
+    ResultCache cache;
+    Scheduler::Options opts;
+    opts.workers = 1;
+    const SweepResult plain = Scheduler(opts, &cache).run(spec);
+    opts.run.scale = 2.0;
+    const SweepResult doubled = Scheduler(opts, &cache).run(spec);
+
+    EXPECT_EQ(cache.misses(), 2u);
+    EXPECT_EQ(cache.hits(), 0u);
+    EXPECT_EQ(plain.cacheMisses, 1u);
+    EXPECT_EQ(doubled.cacheMisses, 1u);
 }
 
 TEST(SchedulerDeathTest, UnknownResultNameIsFatal)

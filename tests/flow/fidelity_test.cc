@@ -7,15 +7,13 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-
 #include "src/config/system_config.hh"
 #include "src/exp/result_cache.hh"
 #include "src/flow/fidelity.hh"
-#include "src/flow/fidelity_controller.hh"
+#include "src/harness/env_overlay.hh"
 #include "src/harness/runner.hh"
-#include "src/obs/trace.hh"
 #include "src/sim/sharded_engine.hh"
+#include "tests/harness/scoped_env.hh"
 
 namespace netcrafter::flow {
 namespace {
@@ -25,11 +23,23 @@ namespace {
 harness::RunResult
 runAt(const char *workload, Fidelity fidelity, double scale = 0.05)
 {
-    const obs::TraceOptions no_trace;
-    const sim::ExecPolicy serial{1, false, 1};
-    return harness::runWorkload(workload, config::baselineConfig(),
-                                scale, /*shards=*/1, no_trace, serial,
-                                fidelity);
+    harness::RunSpec spec;
+    spec.workload = workload;
+    spec.config = config::baselineConfig();
+    spec.scale = scale;
+    spec.exec = sim::ExecPolicy{1, false, 1};
+    spec.fidelity = fidelity;
+    return harness::run(spec);
+}
+
+/** The fidelity overlayEnv() leaves on a spec starting at @p start. */
+Fidelity
+overlaidFidelity(Fidelity start)
+{
+    harness::RunSpec spec;
+    spec.fidelity = start;
+    harness::overlayEnv(spec);
+    return spec.fidelity;
 }
 
 TEST(Fidelity, NamesRoundTrip)
@@ -54,25 +64,26 @@ TEST(FidelityDeathTest, GarbageArgumentIsFatal)
 TEST(FidelityDeathTest, GarbageEnvironmentIsFatal)
 {
     // A sweep silently running at the wrong fidelity is worse than an
-    // early exit, so the env hook validates instead of ignoring.
-    ::setenv("NETCRAFTER_FIDELITY", "approximately", 1);
-    EXPECT_DEATH((void)fidelityFromEnv(), "NETCRAFTER_FIDELITY");
-    ::unsetenv("NETCRAFTER_FIDELITY");
+    // early exit, so the overlay validates instead of ignoring.
+    test::ScopedEnv env;
+    env.set("NETCRAFTER_FIDELITY", "approximately");
+    EXPECT_DEATH((void)overlaidFidelity(Fidelity::Cycle),
+                 "NETCRAFTER_FIDELITY");
 }
 
 TEST(Fidelity, EnvironmentSelectsAndFallsBack)
 {
-    ::setenv("NETCRAFTER_FIDELITY", "hybrid", 1);
-    EXPECT_EQ(fidelityFromEnv(), Fidelity::Hybrid);
-    ::setenv("NETCRAFTER_FIDELITY", "flow", 1);
-    EXPECT_EQ(fidelityFromEnv(Fidelity::Cycle), Fidelity::Flow);
-    ::unsetenv("NETCRAFTER_FIDELITY");
-    EXPECT_EQ(fidelityFromEnv(), Fidelity::Cycle);
-    EXPECT_EQ(fidelityFromEnv(Fidelity::Hybrid), Fidelity::Hybrid);
+    test::ScopedEnv env;
+    env.set("NETCRAFTER_FIDELITY", "hybrid");
+    EXPECT_EQ(overlaidFidelity(Fidelity::Cycle), Fidelity::Hybrid);
+    env.set("NETCRAFTER_FIDELITY", "flow");
+    EXPECT_EQ(overlaidFidelity(Fidelity::Cycle), Fidelity::Flow);
+    env.unset("NETCRAFTER_FIDELITY");
+    EXPECT_EQ(overlaidFidelity(Fidelity::Cycle), Fidelity::Cycle);
+    EXPECT_EQ(overlaidFidelity(Fidelity::Hybrid), Fidelity::Hybrid);
     // Empty string counts as unset, not as garbage.
-    ::setenv("NETCRAFTER_FIDELITY", "", 1);
-    EXPECT_EQ(fidelityFromEnv(Fidelity::Flow), Fidelity::Flow);
-    ::unsetenv("NETCRAFTER_FIDELITY");
+    env.set("NETCRAFTER_FIDELITY", "");
+    EXPECT_EQ(overlaidFidelity(Fidelity::Flow), Fidelity::Flow);
 }
 
 TEST(FlowLane, CycleModeNeverTouchesTheFlowLane)
@@ -124,18 +135,31 @@ TEST(FlowLane, FlowModeIsDeterministic)
     EXPECT_TRUE(harness::sameMeasurement(a, b));
 }
 
+/** The cache key of GUPS on the baseline system at @p fidelity. */
+exp::CacheKey
+gupsKey(Fidelity fidelity)
+{
+    harness::RunSpec spec;
+    spec.workload = "GUPS";
+    spec.config = config::baselineConfig();
+    spec.fidelity = fidelity;
+    return exp::keyOf(spec);
+}
+
 TEST(CacheKeyFidelity, FidelityIsPartOfTheKey)
 {
-    exp::Job job{"j1", "GUPS", config::baselineConfig(), 1.0, {}};
-    const auto cycle_key = exp::keyOf(job, Fidelity::Cycle);
-    const auto flow_key = exp::keyOf(job, Fidelity::Flow);
-    const auto hybrid_key = exp::keyOf(job, Fidelity::Hybrid);
+    const auto cycle_key = gupsKey(Fidelity::Cycle);
+    const auto flow_key = gupsKey(Fidelity::Flow);
+    const auto hybrid_key = gupsKey(Fidelity::Hybrid);
     EXPECT_FALSE(cycle_key == flow_key);
     EXPECT_FALSE(cycle_key == hybrid_key);
     EXPECT_FALSE(flow_key == hybrid_key);
-    // The single-argument overload is the cycle key: pre-fidelity call
-    // sites keep their exact cache identity.
-    EXPECT_TRUE(exp::keyOf(job) == cycle_key);
+    // A spec that leaves fidelity at its default has the cycle key:
+    // pre-fidelity call sites keep their exact cache identity.
+    harness::RunSpec spec;
+    spec.workload = "GUPS";
+    spec.config = config::baselineConfig();
+    EXPECT_TRUE(exp::keyOf(spec) == cycle_key);
 }
 
 TEST(CacheKeyFidelity, ApproximateResultNeverAnswersACycleRequest)
@@ -143,7 +167,6 @@ TEST(CacheKeyFidelity, ApproximateResultNeverAnswersACycleRequest)
     // Regression for the one way the cache could silently lie: a flow
     // run populating the entry a later cycle-accurate request reads.
     exp::ResultCache cache;
-    exp::Job job{"j1", "GUPS", config::baselineConfig(), 1.0, {}};
 
     harness::RunResult flow_result;
     flow_result.workload = "GUPS";
@@ -155,103 +178,22 @@ TEST(CacheKeyFidelity, ApproximateResultNeverAnswersACycleRequest)
     cycle_result.cycles = 222;
 
     bool hit = true;
-    const auto first =
-        cache.getOrRun(exp::keyOf(job, Fidelity::Flow),
-                       [&] { return flow_result; }, &hit);
+    const auto first = cache.getOrRun(
+        gupsKey(Fidelity::Flow), [&] { return flow_result; }, &hit);
     EXPECT_FALSE(hit);
     EXPECT_EQ(first.cycles, 111u);
 
-    const auto second =
-        cache.getOrRun(exp::keyOf(job, Fidelity::Cycle),
-                       [&] { return cycle_result; }, &hit);
+    const auto second = cache.getOrRun(
+        gupsKey(Fidelity::Cycle), [&] { return cycle_result; }, &hit);
     EXPECT_FALSE(hit) << "cycle request must miss a flow-filled cache";
     EXPECT_EQ(second.cycles, 222u);
 
     // Each fidelity hits its own entry on re-request.
-    const auto again =
-        cache.getOrRun(exp::keyOf(job, Fidelity::Flow),
-                       [&] { return cycle_result; }, &hit);
+    const auto again = cache.getOrRun(
+        gupsKey(Fidelity::Flow), [&] { return cycle_result; }, &hit);
     EXPECT_TRUE(hit);
     EXPECT_EQ(again.cycles, 111u);
     EXPECT_EQ(cache.size(), 2u);
-}
-
-TEST(FlowEpochEnv, ParsesValidValues)
-{
-    EXPECT_EQ(parseFlowEpochTicksEnv("1"), 1u);
-    EXPECT_EQ(parseFlowEpochTicksEnv("256"), 256u);
-    EXPECT_EQ(parseFlowEpochTicksEnv("1073741824"), 1u << 30);
-    EXPECT_EQ(parseFlowStableEpochsEnv("1"), 1u);
-    EXPECT_EQ(parseFlowStableEpochsEnv("4"), 4u);
-    EXPECT_EQ(parseFlowStableEpochsEnv("1048576"), 1u << 20);
-}
-
-TEST(FlowEpochEnvDeathTest, GarbageIsFatal)
-{
-    // Epoch 0 would classify every lane instantly; silently clamping
-    // hides the typo, so both knobs validate like NETCRAFTER_SHARDS.
-    EXPECT_DEATH(parseFlowEpochTicksEnv("0"),
-                 "NETCRAFTER_FLOW_EPOCH_TICKS");
-    EXPECT_DEATH(parseFlowEpochTicksEnv("256ms"),
-                 "NETCRAFTER_FLOW_EPOCH_TICKS");
-    EXPECT_DEATH(parseFlowEpochTicksEnv("-16"),
-                 "NETCRAFTER_FLOW_EPOCH_TICKS");
-    EXPECT_DEATH(parseFlowEpochTicksEnv("1073741825"),
-                 "NETCRAFTER_FLOW_EPOCH_TICKS");
-    EXPECT_DEATH(parseFlowStableEpochsEnv("0"),
-                 "NETCRAFTER_FLOW_STABLE_EPOCHS");
-    EXPECT_DEATH(parseFlowStableEpochsEnv("four"),
-                 "NETCRAFTER_FLOW_STABLE_EPOCHS");
-    EXPECT_DEATH(parseFlowStableEpochsEnv("1048577"),
-                 "NETCRAFTER_FLOW_STABLE_EPOCHS");
-}
-
-TEST(FlowEpochEnv, EnvironmentOverridesControllerDefaults)
-{
-    ::unsetenv("NETCRAFTER_FLOW_EPOCH_TICKS");
-    ::unsetenv("NETCRAFTER_FLOW_STABLE_EPOCHS");
-    EXPECT_EQ(flowEpochTicksFromEnv(
-                  FidelityController::kDefaultEpochTicks),
-              FidelityController::kDefaultEpochTicks);
-    EXPECT_EQ(flowStableEpochsFromEnv(
-                  FidelityController::kDefaultStableEpochs),
-              FidelityController::kDefaultStableEpochs);
-
-    ::setenv("NETCRAFTER_FLOW_EPOCH_TICKS", "512", 1);
-    ::setenv("NETCRAFTER_FLOW_STABLE_EPOCHS", "8", 1);
-    EXPECT_EQ(flowEpochTicksFromEnv(
-                  FidelityController::kDefaultEpochTicks),
-              512u);
-    EXPECT_EQ(flowStableEpochsFromEnv(
-                  FidelityController::kDefaultStableEpochs),
-              8u);
-
-    // A constructed controller picks the override up.
-    const FidelityController ctl(config::baselineConfig(),
-                                 Fidelity::Hybrid);
-    EXPECT_EQ(ctl.epochTicks(), 512u);
-    EXPECT_EQ(ctl.stableEpochs(), 8u);
-
-    ::unsetenv("NETCRAFTER_FLOW_EPOCH_TICKS");
-    ::unsetenv("NETCRAFTER_FLOW_STABLE_EPOCHS");
-}
-
-TEST(FlowEpochEnv, KnobsShiftTheHybridHandoverPoint)
-{
-    // A much longer epoch with a higher stability requirement delays
-    // (or prevents) flow-lane handover, so the hybrid run hands fewer
-    // packets to the flow model than the default-knob run. Both remain
-    // valid hybrid runs; only the split moves.
-    const harness::RunResult defaults = runAt("GUPS", Fidelity::Hybrid);
-    ::setenv("NETCRAFTER_FLOW_EPOCH_TICKS", "65536", 1);
-    ::setenv("NETCRAFTER_FLOW_STABLE_EPOCHS", "64", 1);
-    const harness::RunResult sluggish = runAt("GUPS", Fidelity::Hybrid);
-    ::unsetenv("NETCRAFTER_FLOW_EPOCH_TICKS");
-    ::unsetenv("NETCRAFTER_FLOW_STABLE_EPOCHS");
-
-    EXPECT_LE(sluggish.flowPackets, defaults.flowPackets);
-    EXPECT_EQ(defaults.instructions, sluggish.instructions)
-        << "epoch knobs may move the lane split, never the work";
 }
 
 } // namespace

@@ -1,11 +1,18 @@
-/** @file Tests for the experiment harness utilities. */
+/**
+ * @file
+ * Tests for the experiment harness utilities and the NETCRAFTER_*
+ * environment overlay (its validated parsers, field mapping and
+ * flag-over-environment precedence).
+ */
 
 #include <gtest/gtest.h>
 
 #include <sstream>
 
+#include "src/harness/env_overlay.hh"
 #include "src/harness/runner.hh"
 #include "src/harness/table.hh"
+#include "tests/harness/scoped_env.hh"
 
 namespace netcrafter::harness {
 namespace {
@@ -75,10 +82,242 @@ TEST(Geomean, NonPositiveDies)
     EXPECT_DEATH(geomean({-2.0}), "non-positive");
 }
 
+/** Every NETCRAFTER_* run variable the overlay reads. */
+constexpr const char *kRunVariables[] = {
+    "NETCRAFTER_SCALE",         "NETCRAFTER_SHARDS",
+    "NETCRAFTER_JOBS",          "NETCRAFTER_THREADS",
+    "NETCRAFTER_STEAL",         "NETCRAFTER_STEAL_MIN_BACKLOG",
+    "NETCRAFTER_FIDELITY",      "NETCRAFTER_TRACE_OUT",
+    "NETCRAFTER_TRACE_LEVEL",   "NETCRAFTER_SAMPLE_INTERVAL",
+    "NETCRAFTER_SERVE_LOAD",    "NETCRAFTER_SERVE_ARRIVAL",
+    "NETCRAFTER_SERVE_MIX",     "NETCRAFTER_SERVE_WARMUP",
+    "NETCRAFTER_SERVE_MEASURE", "NETCRAFTER_SERVE_SEED",
+};
+
+/** A guard with every run variable unset. */
+void
+clearRunVariables(test::ScopedEnv &env)
+{
+    for (const char *var : kRunVariables)
+        env.unset(var);
+}
+
+/** Run flags parsed from @p args as if they followed argv[0]. */
+RunFlags
+flagsFrom(std::vector<std::string> args)
+{
+    std::vector<char *> argv{nullptr};
+    for (std::string &arg : args)
+        argv.push_back(arg.data());
+    RunFlags flags;
+    const int argc = static_cast<int>(argv.size());
+    for (int i = 1; i < argc; ++i)
+        EXPECT_TRUE(flags.consume(argc, argv.data(), i)) << argv[i];
+    return flags;
+}
+
 TEST(EnvScale, DefaultsToOne)
 {
-    // NETCRAFTER_SCALE is not set in the test environment.
-    EXPECT_GT(envScale(), 0.0);
+    test::ScopedEnv env;
+    env.unset("NETCRAFTER_SCALE");
+    RunSpec spec;
+    overlayEnv(spec);
+    EXPECT_EQ(spec.scale, 1.0);
+
+    // The variable multiplies whatever scale the caller chose.
+    env.set("NETCRAFTER_SCALE", "0.5");
+    spec.scale = 0.2;
+    overlayEnv(spec);
+    EXPECT_DOUBLE_EQ(spec.scale, 0.1);
+}
+
+TEST(EnvOverlay, EveryVariableLandsInItsField)
+{
+    test::ScopedEnv env;
+    env.set("NETCRAFTER_SCALE", "0.25");
+    env.set("NETCRAFTER_SHARDS", "2");
+    env.set("NETCRAFTER_JOBS", "3");
+    env.set("NETCRAFTER_THREADS", "1");
+    env.set("NETCRAFTER_STEAL", "on");
+    env.set("NETCRAFTER_STEAL_MIN_BACKLOG", "64");
+    env.set("NETCRAFTER_FIDELITY", "hybrid");
+    env.set("NETCRAFTER_TRACE_OUT", "/tmp/traces");
+    env.set("NETCRAFTER_TRACE_LEVEL", "links");
+    env.set("NETCRAFTER_SAMPLE_INTERVAL", "500");
+    env.set("NETCRAFTER_SERVE_LOAD", "4.5");
+    env.set("NETCRAFTER_SERVE_ARRIVAL", "bursty");
+    env.set("NETCRAFTER_SERVE_MIX", "1:2:1");
+    env.set("NETCRAFTER_SERVE_WARMUP", "1500");
+    env.set("NETCRAFTER_SERVE_MEASURE", "9000");
+    env.set("NETCRAFTER_SERVE_SEED", "77");
+
+    RunSpec spec;
+    unsigned jobs = 0;
+    overlayEnv(spec, {}, &jobs);
+    EXPECT_EQ(spec.scale, 0.25);
+    EXPECT_EQ(spec.shards, 2u);
+    EXPECT_EQ(jobs, 3u);
+    EXPECT_EQ(spec.exec.threads, 1u);
+    EXPECT_TRUE(spec.exec.steal);
+    EXPECT_EQ(spec.exec.stealMinBacklog, 64u);
+    EXPECT_EQ(spec.fidelity, flow::Fidelity::Hybrid);
+    EXPECT_EQ(spec.trace.outDir, "/tmp/traces");
+    EXPECT_EQ(spec.trace.level, obs::TraceLevel::Links);
+    EXPECT_EQ(spec.trace.sampleInterval, 500u);
+    EXPECT_EQ(spec.serve.offeredLoad, 4.5);
+    EXPECT_EQ(spec.serve.arrival, serve::ArrivalKind::Bursty);
+    EXPECT_EQ(spec.serve.mix.weight[1], 2.0);
+    EXPECT_EQ(spec.serve.warmupTicks, 1500u);
+    EXPECT_EQ(spec.serve.measureTicks, 9000u);
+    EXPECT_EQ(spec.serve.seed, 77u);
+    // The caller decides whether serving runs at all.
+    EXPECT_FALSE(spec.serve.enabled);
+}
+
+TEST(EnvOverlay, UnsetVariablesLeaveTheSpecAlone)
+{
+    test::ScopedEnv env;
+    clearRunVariables(env);
+    RunSpec spec;
+    spec.shards = 3;
+    spec.fidelity = flow::Fidelity::Flow;
+    unsigned jobs = 5;
+    overlayEnv(spec, {}, &jobs);
+    EXPECT_EQ(spec.scale, 1.0);
+    EXPECT_EQ(spec.shards, 3u);
+    EXPECT_EQ(jobs, 5u);
+    EXPECT_EQ(spec.fidelity, flow::Fidelity::Flow);
+    EXPECT_FALSE(spec.trace.enabled());
+}
+
+TEST(EnvOverlay, FlagsOverrideTheEnvironment)
+{
+    test::ScopedEnv env;
+    clearRunVariables(env);
+    env.set("NETCRAFTER_SCALE", "0.5");
+    env.set("NETCRAFTER_SHARDS", "2");
+    env.set("NETCRAFTER_JOBS", "3");
+    env.set("NETCRAFTER_FIDELITY", "flow");
+    env.set("NETCRAFTER_TRACE_OUT", "/env");
+    env.set("NETCRAFTER_TRACE_LEVEL", "links");
+    env.set("NETCRAFTER_SAMPLE_INTERVAL", "100");
+    env.set("NETCRAFTER_SERVE_ARRIVAL", "uniform");
+
+    RunFlags flags = flagsFrom(
+        {"--jobs", "7", "--shards", "4", "--fidelity", "cycle",
+         "--trace-out", "/flag", "--trace-level", "full",
+         "--sample-interval", "250"});
+    flags.set("NETCRAFTER_SCALE", "--scale", "0.125");
+    flags.set("NETCRAFTER_SERVE_ARRIVAL", "--arrival", "bursty");
+
+    RunSpec spec;
+    unsigned jobs = 0;
+    overlayEnv(spec, flags, &jobs);
+    EXPECT_EQ(spec.scale, 0.125);
+    EXPECT_EQ(spec.shards, 4u);
+    EXPECT_EQ(jobs, 7u);
+    EXPECT_EQ(spec.fidelity, flow::Fidelity::Cycle);
+    EXPECT_EQ(spec.trace.outDir, "/flag");
+    EXPECT_EQ(spec.trace.level, obs::TraceLevel::Full);
+    EXPECT_EQ(spec.trace.sampleInterval, 250u);
+    EXPECT_EQ(spec.serve.arrival, serve::ArrivalKind::Bursty);
+}
+
+TEST(EnvOverlay, OutputOrSamplingWithoutALevelImpliesPackets)
+{
+    test::ScopedEnv env;
+    clearRunVariables(env);
+    env.set("NETCRAFTER_TRACE_OUT", "/traces");
+    RunSpec from_env;
+    overlayEnv(from_env);
+    EXPECT_EQ(from_env.trace.level, obs::TraceLevel::Packets);
+
+    // A named tier wins, whether it came from a flag or the variable.
+    env.set("NETCRAFTER_TRACE_LEVEL", "off");
+    RunSpec named;
+    overlayEnv(named);
+    EXPECT_EQ(named.trace.level, obs::TraceLevel::Off);
+
+    env.unset("NETCRAFTER_TRACE_OUT");
+    env.unset("NETCRAFTER_TRACE_LEVEL");
+    RunSpec from_flag;
+    overlayEnv(from_flag, flagsFrom({"--sample-interval", "1000"}));
+    EXPECT_EQ(from_flag.trace.level, obs::TraceLevel::Packets);
+}
+
+TEST(EnvOverlayDeathTest, InvalidValueDiesNamingItsVariable)
+{
+    const std::pair<const char *, const char *> bad[] = {
+        {"NETCRAFTER_SCALE", "0"},
+        {"NETCRAFTER_SHARDS", "2x"},
+        {"NETCRAFTER_JOBS", "-1"},
+        {"NETCRAFTER_THREADS", "many"},
+        {"NETCRAFTER_STEAL", "maybe"},
+        {"NETCRAFTER_STEAL_MIN_BACKLOG", "0"},
+        {"NETCRAFTER_FIDELITY", "warp"},
+        {"NETCRAFTER_TRACE_LEVEL", "loud"},
+        {"NETCRAFTER_SAMPLE_INTERVAL", "-5"},
+        {"NETCRAFTER_SERVE_LOAD", "fast"},
+        {"NETCRAFTER_SERVE_ARRIVAL", "gaussian"},
+        {"NETCRAFTER_SERVE_MIX", "1:2"},
+        {"NETCRAFTER_SERVE_WARMUP", "0"},
+        {"NETCRAFTER_SERVE_MEASURE", "5k"},
+        {"NETCRAFTER_SERVE_SEED", "-7"},
+    };
+    for (const auto &[var, value] : bad) {
+        test::ScopedEnv env;
+        clearRunVariables(env);
+        env.set(var, value);
+        RunSpec spec;
+        unsigned jobs = 0;
+        EXPECT_EXIT(overlayEnv(spec, {}, &jobs),
+                    testing::ExitedWithCode(1), var)
+            << var << "=" << value;
+    }
+}
+
+TEST(EnvOverlayDeathTest, InvalidFlagDiesNamingTheFlag)
+{
+    test::ScopedEnv env;
+    clearRunVariables(env);
+    RunSpec spec;
+    unsigned jobs = 0;
+    EXPECT_EXIT(overlayEnv(spec, flagsFrom({"--shards", "2x"}), &jobs),
+                testing::ExitedWithCode(1), "--shards");
+    EXPECT_EXIT(overlayEnv(spec, flagsFrom({"--jobs", "abc"}), &jobs),
+                testing::ExitedWithCode(1), "--jobs");
+    EXPECT_EXIT(overlayEnv(spec, flagsFrom({"--trace-level", "x"})),
+                testing::ExitedWithCode(1), "--trace-level");
+}
+
+TEST(ParseJobsEnv, AcceptsZeroAndPositiveCounts)
+{
+    EXPECT_EQ(parseJobsEnv("0"), 0u);
+    EXPECT_EQ(parseJobsEnv("1"), 1u);
+    EXPECT_EQ(parseJobsEnv("16"), 16u);
+}
+
+TEST(ParseJobsEnvDeathTest, RejectsBadValues)
+{
+    // atoi used to turn -1 into 4294967295 workers and "abc" into
+    // "all cores".
+    for (const char *text : {"-1", "abc", "2x", "", "2.5"}) {
+        EXPECT_EXIT(parseJobsEnv(text), testing::ExitedWithCode(1),
+                    "NETCRAFTER_JOBS")
+            << text;
+    }
+}
+
+TEST(ParseExecEnv, AcceptsValidValues)
+{
+    EXPECT_EQ(parseThreadsEnv("0"), 0u);
+    EXPECT_EQ(parseThreadsEnv("4"), 4u);
+    EXPECT_TRUE(parseStealEnv("1"));
+    EXPECT_TRUE(parseStealEnv("true"));
+    EXPECT_FALSE(parseStealEnv("off"));
+    EXPECT_EQ(parseStealMinBacklogEnv("1"), 1u);
+    EXPECT_EQ(parseSampleIntervalEnv("0"), 0u);
+    EXPECT_EQ(parseSampleIntervalEnv("5000"), 5000u);
 }
 
 TEST(ParseScaleEnv, AcceptsPositiveNumbers)

@@ -21,6 +21,21 @@ namespace {
 
 constexpr double kTinyScale = 0.34;
 
+harness::RunResult
+runAt(const std::string &app, const config::SystemConfig &cfg,
+      unsigned shards, const obs::TraceOptions &trace = {},
+      const sim::ExecPolicy &exec = {})
+{
+    harness::RunSpec spec;
+    spec.workload = app;
+    spec.config = cfg;
+    spec.scale = kTinyScale;
+    spec.shards = shards;
+    spec.trace = trace;
+    spec.exec = exec;
+    return harness::run(spec);
+}
+
 config::SystemConfig
 tinyMeshConfig()
 {
@@ -80,12 +95,9 @@ TEST(ObsDeterminism, TraceArtifactsAreShardInvariant)
     const config::SystemConfig cfg = tinyMeshConfig();
     const std::string app = "GUPS";
 
-    const harness::RunResult serial =
-        harness::runWorkload(app, cfg, kTinyScale, 1, trace);
-    const harness::RunResult two =
-        harness::runWorkload(app, cfg, kTinyScale, 2, trace);
-    const harness::RunResult four =
-        harness::runWorkload(app, cfg, kTinyScale, 4, trace);
+    const harness::RunResult serial = runAt(app, cfg, 1, trace);
+    const harness::RunResult two = runAt(app, cfg, 2, trace);
+    const harness::RunResult four = runAt(app, cfg, 4, trace);
 
     // The measurement itself stays shard-invariant with tracing on.
     EXPECT_TRUE(sameMeasurement(serial, two));
@@ -150,8 +162,8 @@ TEST(ObsDeterminism, MergedTraceOrderSurvivesWorkStealing)
     const std::string app = "GUPS";
     const std::string base = fileBase(app, cfg, kTinyScale, 4);
 
-    const harness::RunResult plain = harness::runWorkload(
-        app, cfg, kTinyScale, 4, trace, sim::ExecPolicy{0, false, 1});
+    const harness::RunResult plain =
+        runAt(app, cfg, 4, trace, sim::ExecPolicy{0, false, 1});
     const std::string trace_plain = slurp(dir / (base + ".trace.json"));
     const std::string series_plain =
         slurp(dir / (base + ".timeseries.csv"));
@@ -159,8 +171,8 @@ TEST(ObsDeterminism, MergedTraceOrderSurvivesWorkStealing)
 
     // Same file name — the rerun overwrites, which is exactly what
     // lets us compare the two schedules byte for byte.
-    const harness::RunResult stolen = harness::runWorkload(
-        app, cfg, kTinyScale, 4, trace, sim::ExecPolicy{2, true, 1});
+    const harness::RunResult stolen =
+        runAt(app, cfg, 4, trace, sim::ExecPolicy{2, true, 1});
     EXPECT_TRUE(sameMeasurement(plain, stolen));
     EXPECT_EQ(plain.traceRecords, stolen.traceRecords);
     EXPECT_EQ(stolen.traceDropped, 0u);
@@ -177,10 +189,8 @@ TEST(ObsDeterminism, TracingDoesNotPerturbTheMeasurement)
     trace.level = obs::TraceLevel::Full;
     trace.sampleInterval = 500; // in-memory only: no outDir
 
-    const harness::RunResult off =
-        harness::runWorkload("GUPS", cfg, kTinyScale, 2);
-    const harness::RunResult on =
-        harness::runWorkload("GUPS", cfg, kTinyScale, 2, trace);
+    const harness::RunResult off = runAt("GUPS", cfg, 2);
+    const harness::RunResult on = runAt("GUPS", cfg, 2, trace);
 
     EXPECT_TRUE(sameMeasurement(off, on));
     EXPECT_EQ(off.traceRecords, 0u);

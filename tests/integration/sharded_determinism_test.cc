@@ -25,14 +25,25 @@ shrink(config::SystemConfig cfg)
 
 constexpr double kTinyScale = 0.34;
 
+harness::RunResult
+runAt(const std::string &app, const config::SystemConfig &cfg,
+      unsigned shards, const sim::ExecPolicy &exec = {})
+{
+    harness::RunSpec spec;
+    spec.workload = app;
+    spec.config = cfg;
+    spec.scale = kTinyScale;
+    spec.shards = shards;
+    spec.exec = exec;
+    return harness::run(spec);
+}
+
 void
 expectShardInvariant(const std::string &app,
                      const config::SystemConfig &cfg, unsigned shards)
 {
-    const harness::RunResult serial =
-        harness::runWorkload(app, cfg, kTinyScale, 1);
-    const harness::RunResult parallel =
-        harness::runWorkload(app, cfg, kTinyScale, shards);
+    const harness::RunResult serial = runAt(app, cfg, 1);
+    const harness::RunResult parallel = runAt(app, cfg, shards);
 
     EXPECT_TRUE(sameMeasurement(serial, parallel))
         << app << " diverged at " << shards << " shards: serial "
@@ -112,10 +123,8 @@ TEST(ShardedDeterminismTest, StealingIsBitIdenticalAcrossTheGrid)
     cfg.numClusters = 4;
     cfg.gpusPerCluster = 1;
     const std::string app = "MT";
-    const obs::TraceOptions no_trace;
 
-    const harness::RunResult serial =
-        harness::runWorkload(app, cfg, kTinyScale, 1, no_trace);
+    const harness::RunResult serial = runAt(app, cfg, 1);
 
     struct GridPoint
     {
@@ -128,8 +137,8 @@ TEST(ShardedDeterminismTest, StealingIsBitIdenticalAcrossTheGrid)
         {4, {2, true, 1}},  {4, {4, true, 1}},  {4, {2, true, 64}},
     };
     for (const GridPoint &point : grid) {
-        const harness::RunResult run = harness::runWorkload(
-            app, cfg, kTinyScale, point.shards, no_trace, point.exec);
+        const harness::RunResult run =
+            runAt(app, cfg, point.shards, point.exec);
         EXPECT_TRUE(sameMeasurement(serial, run))
             << app << " diverged at " << point.shards << " shards, "
             << point.exec.threads << " threads, steal="
@@ -158,14 +167,13 @@ TEST(ShardedDeterminismTest, StallCensusIsThreadCountInvariant)
     config::SystemConfig cfg = shrink(config::baselineConfig());
     cfg.numClusters = 4;
     cfg.gpusPerCluster = 1;
-    const obs::TraceOptions no_trace;
 
-    const harness::RunResult four = harness::runWorkload(
-        "GUPS", cfg, kTinyScale, 4, no_trace, sim::ExecPolicy{0, false, 1});
-    const harness::RunResult mux = harness::runWorkload(
-        "GUPS", cfg, kTinyScale, 4, no_trace, sim::ExecPolicy{1, false, 1});
-    const harness::RunResult steal = harness::runWorkload(
-        "GUPS", cfg, kTinyScale, 4, no_trace, sim::ExecPolicy{2, true, 1});
+    const harness::RunResult four =
+        runAt("GUPS", cfg, 4, sim::ExecPolicy{0, false, 1});
+    const harness::RunResult mux =
+        runAt("GUPS", cfg, 4, sim::ExecPolicy{1, false, 1});
+    const harness::RunResult steal =
+        runAt("GUPS", cfg, 4, sim::ExecPolicy{2, true, 1});
 
     EXPECT_TRUE(sameMeasurement(four, mux));
     EXPECT_TRUE(sameMeasurement(four, steal));
@@ -186,10 +194,8 @@ TEST(ShardedDeterminismTest, TwoShardsMatchFourShardsOnMesh)
     config::SystemConfig cfg = shrink(config::baselineConfig());
     cfg.numClusters = 4;
     cfg.gpusPerCluster = 1;
-    const harness::RunResult two =
-        harness::runWorkload("GUPS", cfg, kTinyScale, 2);
-    const harness::RunResult four =
-        harness::runWorkload("GUPS", cfg, kTinyScale, 3);
+    const harness::RunResult two = runAt("GUPS", cfg, 2);
+    const harness::RunResult four = runAt("GUPS", cfg, 3);
     EXPECT_TRUE(sameMeasurement(two, four));
 }
 

@@ -25,6 +25,21 @@ namespace {
 
 constexpr double kTinyScale = 0.34;
 
+harness::RunResult
+runAt(const std::string &app, const config::SystemConfig &cfg,
+      unsigned shards, const obs::TraceOptions &trace = {},
+      const sim::ExecPolicy &exec = {})
+{
+    harness::RunSpec spec;
+    spec.workload = app;
+    spec.config = cfg;
+    spec.scale = kTinyScale;
+    spec.shards = shards;
+    spec.trace = trace;
+    spec.exec = exec;
+    return harness::run(spec);
+}
+
 config::SystemConfig
 tinyMeshConfig()
 {
@@ -88,10 +103,8 @@ TEST(TelemetrySharded, HeartbeatSamplingDoesNotPerturbTheMeasurement)
 
     // Baselines with the sampler off.
     ASSERT_FALSE(obs::Telemetry::instance().running());
-    const harness::RunResult off1 =
-        harness::runWorkload(app, cfg, kTinyScale, 1);
-    const harness::RunResult off2 =
-        harness::runWorkload(app, cfg, kTinyScale, 2);
+    const harness::RunResult off1 = runAt(app, cfg, 1);
+    const harness::RunResult off2 = runAt(app, cfg, 2);
     EXPECT_TRUE(sameMeasurement(off1, off2));
     EXPECT_EQ(off1.phaseExecuteSeconds, 0.0); // profiling unarmed
 
@@ -109,15 +122,11 @@ TEST(TelemetrySharded, HeartbeatSamplingDoesNotPerturbTheMeasurement)
     // Same point at 1/2/4 shards with the sampler attached, plus a
     // 4-shard run with work stealing forced on (multiplexed so steals
     // actually migrate units).
-    const harness::RunResult on1 =
-        harness::runWorkload(app, cfg, kTinyScale, 1);
-    const harness::RunResult on2 =
-        harness::runWorkload(app, cfg, kTinyScale, 2);
-    const harness::RunResult on4 =
-        harness::runWorkload(app, cfg, kTinyScale, 4);
-    const harness::RunResult on4_steal = harness::runWorkload(
-        app, cfg, kTinyScale, 4, obs::TraceOptions{},
-        sim::ExecPolicy{2, true, 1});
+    const harness::RunResult on1 = runAt(app, cfg, 1);
+    const harness::RunResult on2 = runAt(app, cfg, 2);
+    const harness::RunResult on4 = runAt(app, cfg, 4);
+    const harness::RunResult on4_steal =
+        runAt(app, cfg, 4, obs::TraceOptions{}, sim::ExecPolicy{2, true, 1});
 
     obs::Telemetry::instance().stop();
     ASSERT_FALSE(obs::Telemetry::instance().running());
@@ -145,8 +154,8 @@ TEST(TelemetrySharded, ProfileEnvArmsThePhaseClocks)
     // sampler; exercised here via the tracing path (in-memory only).
     obs::TraceOptions trace;
     trace.level = obs::TraceLevel::Packets;
-    const harness::RunResult traced = harness::runWorkload(
-        "GUPS", tinyMeshConfig(), kTinyScale, 2, trace);
+    const harness::RunResult traced =
+        runAt("GUPS", tinyMeshConfig(), 2, trace);
     EXPECT_GT(traced.phaseExecuteSeconds, 0.0);
     EXPECT_GT(traced.phaseExportSeconds, 0.0);
 }

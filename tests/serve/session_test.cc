@@ -26,6 +26,18 @@ tinyScenario()
 
 constexpr double kTinyScale = 0.05;
 
+harness::RunResult
+serveAt(const ServeConfig &sc, const config::SystemConfig &cfg,
+        unsigned shards)
+{
+    harness::RunSpec spec;
+    spec.serve = sc;
+    spec.config = cfg;
+    spec.scale = kTinyScale;
+    spec.shards = shards;
+    return harness::run(spec);
+}
+
 TEST(ServeSession, RunsDrainAndAccountRequests)
 {
     const ServeConfig sc = tinyScenario();
@@ -76,21 +88,17 @@ TEST(ServeSession, PercentilesAreOrdered)
 TEST(ServeSession, SameSeedReproduces)
 {
     const ServeConfig sc = tinyScenario();
-    const harness::RunResult a =
-        harness::runServe(sc, config::baselineConfig(), kTinyScale, 1);
-    const harness::RunResult b =
-        harness::runServe(sc, config::baselineConfig(), kTinyScale, 1);
+    const harness::RunResult a = serveAt(sc, config::baselineConfig(), 1);
+    const harness::RunResult b = serveAt(sc, config::baselineConfig(), 1);
     EXPECT_TRUE(harness::sameMeasurement(a, b));
 }
 
 TEST(ServeSession, DifferentSeedChangesTheSchedule)
 {
     ServeConfig sc = tinyScenario();
-    const harness::RunResult a =
-        harness::runServe(sc, config::baselineConfig(), kTinyScale, 1);
+    const harness::RunResult a = serveAt(sc, config::baselineConfig(), 1);
     sc.seed += 1;
-    const harness::RunResult b =
-        harness::runServe(sc, config::baselineConfig(), kTinyScale, 1);
+    const harness::RunResult b = serveAt(sc, config::baselineConfig(), 1);
     EXPECT_FALSE(harness::sameMeasurement(a, b));
 }
 
@@ -104,12 +112,9 @@ TEST(ServeSession, BitIdenticalAcrossShardCounts)
     const ServeConfig sc = tinyScenario();
     config::SystemConfig cfg = config::baselineConfig();
     cfg.numClusters = 4;
-    const harness::RunResult serial =
-        harness::runServe(sc, cfg, kTinyScale, 1);
-    const harness::RunResult two =
-        harness::runServe(sc, cfg, kTinyScale, 2);
-    const harness::RunResult four =
-        harness::runServe(sc, cfg, kTinyScale, 4);
+    const harness::RunResult serial = serveAt(sc, cfg, 1);
+    const harness::RunResult two = serveAt(sc, cfg, 2);
+    const harness::RunResult four = serveAt(sc, cfg, 4);
 
     EXPECT_TRUE(harness::sameMeasurement(serial, two));
     EXPECT_TRUE(harness::sameMeasurement(serial, four));
@@ -129,8 +134,7 @@ TEST(ServeSession, BitIdenticalAcrossShardCounts)
 TEST(ServeSession, RunServeFillsHarnessFields)
 {
     const ServeConfig sc = tinyScenario();
-    const harness::RunResult r =
-        harness::runServe(sc, config::baselineConfig(), kTinyScale, 1);
+    const harness::RunResult r = serveAt(sc, config::baselineConfig(), 1);
 
     EXPECT_EQ(r.workload, "serve-poisson");
     EXPECT_DOUBLE_EQ(r.offeredLoad, sc.offeredLoad);
@@ -152,10 +156,8 @@ TEST(ServeSession, MeasurementWindowBoundsMeasuredCount)
     ServeConfig narrow = wide;
     narrow.measureTicks = wide.measureTicks / 2;
 
-    const harness::RunResult a =
-        harness::runServe(wide, config::baselineConfig(), kTinyScale, 1);
-    const harness::RunResult b = harness::runServe(
-        narrow, config::baselineConfig(), kTinyScale, 1);
+    const harness::RunResult a = serveAt(wide, config::baselineConfig(), 1);
+    const harness::RunResult b = serveAt(narrow, config::baselineConfig(), 1);
     EXPECT_GT(a.serveMeasured, 0u);
     EXPECT_GE(a.serveMeasured, b.serveMeasured);
     EXPECT_LT(a.serveMeasured, a.serveInjected);

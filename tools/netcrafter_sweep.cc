@@ -24,6 +24,7 @@
 #include "src/exp/scheduler.hh"
 #include "src/exp/serve_curve.hh"
 #include "src/gpu/system.hh"
+#include "src/harness/env_overlay.hh"
 #include "src/harness/runner.hh"
 #include "src/harness/table.hh"
 #include "src/obs/chrome_trace.hh"
@@ -64,7 +65,8 @@ usage(int code)
           "                    results are bit-identical either way).\n"
           "                    The default worker count is divided by N\n"
           "                    so jobs x shards never oversubscribes\n"
-          "  --scale X         set NETCRAFTER_SCALE for this run\n"
+          "  --scale X         problem-size multiplier (overrides\n"
+          "                    NETCRAFTER_SCALE)\n"
           "  --fidelity F      cycle|flow|hybrid (default: the\n"
           "                    validated NETCRAFTER_FIDELITY env, else\n"
           "                    cycle). flow/hybrid approximate the\n"
@@ -173,11 +175,12 @@ writeFile(const std::string &path,
 }
 
 int
-dumpRegistry(const std::string &workload, const std::string &path)
+dumpRegistry(const std::string &workload, double scale,
+             const std::string &path)
 {
     auto wl = workloads::makeWorkload(workload);
     gpu::MultiGpuSystem system(config::baselineConfig());
-    system.run(*wl, harness::envScale());
+    system.run(*wl, scale);
     const stats::Registry reg = system.collectStats();
     return writeFile(path,
                      [&](std::ostream &os) {
@@ -229,23 +232,15 @@ main(int argc, char **argv)
 {
     std::vector<std::string> want;
     std::string json_path, csv_path, registry_json, registry_workload;
-    exp::Scheduler::Options opts;
-    opts.progress = exp::ProgressMode::PerJob;
+    // Run flags override their NETCRAFTER_* variables (overlayEnv).
+    harness::RunFlags flags;
+    exp::ProgressMode progress = exp::ProgressMode::PerJob;
     bool timings = false;
     // Telemetry flags override the NETCRAFTER_HEARTBEAT_* /
     // NETCRAFTER_WATCHDOG_* environment.
     obs::TelemetryOptions telemetry = obs::TelemetryOptions::fromEnv();
     bool serve_mode = false;
     exp::ServeCurveSpec serve_spec;
-    // NETCRAFTER_SERVE_* sets the scenario (arrival, mix, phases,
-    // seed); the --arrival and --offered-load flags override it.
-    harness::applyServeEnv(serve_spec.serve);
-    // --shards overrides the NETCRAFTER_SHARDS environment.
-    if (const char *env = std::getenv("NETCRAFTER_SHARDS"))
-        opts.shards = harness::parseShardsEnv(env);
-    // Flags below override the NETCRAFTER_TRACE_* environment.
-    opts.trace = obs::TraceOptions::fromEnv();
-    bool explicit_level = false;
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -260,36 +255,10 @@ main(int argc, char **argv)
             return usage(0);
         else if (arg == "--list")
             return listFigures();
-        else if (arg == "--jobs") {
-            const std::string text = value("--jobs");
-            char *end = nullptr;
-            const long n = std::strtol(text.c_str(), &end, 10);
-            if (end == text.c_str() || *end != '\0' || n < 0) {
-                std::cerr << "--jobs must be a non-negative integer "
-                             "(0 = all cores), got '"
-                          << text << "'\n";
-                return usage(1);
-            }
-            opts.workers = static_cast<unsigned>(n);
-        }
-        else if (arg == "--shards") {
-            const std::string text = value("--shards");
-            char *end = nullptr;
-            const long n = std::strtol(text.c_str(), &end, 10);
-            if (end == text.c_str() || *end != '\0' || n < 1) {
-                std::cerr << "--shards must be a positive integer, "
-                             "got '"
-                          << text << "'\n";
-                return usage(1);
-            }
-            opts.shards = static_cast<unsigned>(n);
-        }
+        else if (flags.consume(argc, argv, i))
+            continue;
         else if (arg == "--scale")
-            setenv("NETCRAFTER_SCALE", value("--scale").c_str(), 1);
-        else if (arg == "--fidelity") {
-            opts.fidelity = flow::parseFidelityOrDie(
-                value("--fidelity"), "--fidelity");
-        }
+            flags.set("NETCRAFTER_SCALE", "--scale", value("--scale"));
         else if (arg == "--json")
             json_path = value("--json");
         else if (arg == "--csv")
@@ -298,39 +267,20 @@ main(int argc, char **argv)
             registry_json = value("--registry-json");
         else if (arg == "--workload")
             registry_workload = value("--workload");
-        else if (arg == "--trace-out")
-            opts.trace.outDir = value("--trace-out");
-        else if (arg == "--trace-level") {
-            opts.trace.level =
-                obs::TraceOptions::parseLevel(value("--trace-level"));
-            explicit_level = true;
-        }
-        else if (arg == "--sample-interval") {
-            const std::string text = value("--sample-interval");
-            char *end = nullptr;
-            const long long n = std::strtoll(text.c_str(), &end, 10);
-            if (end == text.c_str() || *end != '\0' || n < 0) {
-                std::cerr << "--sample-interval must be a non-negative "
-                             "integer, got '"
-                          << text << "'\n";
-                return usage(1);
-            }
-            opts.trace.sampleInterval = static_cast<Tick>(n);
-        }
         else if (arg == "--serve")
             serve_mode = true;
         else if (arg == "--offered-load")
             parseLoadRange(value("--offered-load"), serve_spec);
         else if (arg == "--arrival") {
-            serve_spec.serve.arrival =
-                serve::parseArrivalKind(value("--arrival"));
+            flags.set("NETCRAFTER_SERVE_ARRIVAL", "--arrival",
+                      value("--arrival"));
         }
         else if (arg == "--timings")
             timings = true;
         else if (arg == "--quiet")
-            opts.progress = exp::ProgressMode::Off;
+            progress = exp::ProgressMode::Off;
         else if (arg == "--live") {
-            opts.progress = exp::ProgressMode::Live;
+            progress = exp::ProgressMode::Live;
             telemetry.tty = true;
         }
         else if (arg == "--heartbeat-out")
@@ -372,26 +322,20 @@ main(int argc, char **argv)
         }
     }
 
-    // As with figureMain: output or sampling without an explicit tier
-    // implies the packet tier.
-    if (!explicit_level && !opts.trace.enabled() &&
-        (!opts.trace.outDir.empty() || opts.trace.sampleInterval > 0))
-        opts.trace.level = obs::TraceLevel::Packets;
-
-    if (opts.fidelity != flow::Fidelity::Cycle && opts.shards > 1) {
-        std::cerr << "--fidelity "
-                  << flow::fidelityName(opts.fidelity)
-                  << " requires --shards 1 (the flow lane is a "
-                     "single-engine fast path)\n";
-        return usage(1);
-    }
+    exp::Scheduler::Options opts;
+    opts.progress = progress;
+    harness::overlayEnv(opts.run, flags, &opts.workers);
+    // NETCRAFTER_SERVE_* (and --arrival) set the scenario; the
+    // offered-load range comes from --offered-load.
+    serve_spec.serve = opts.run.serve;
 
     if (!registry_json.empty()) {
         if (registry_workload.empty()) {
             std::cerr << "--registry-json requires --workload\n";
             return usage(1);
         }
-        return dumpRegistry(registry_workload, registry_json);
+        return dumpRegistry(registry_workload, opts.run.scale,
+                            registry_json);
     }
     if (want.empty() && !serve_mode)
         return usage(1);
@@ -408,9 +352,10 @@ main(int argc, char **argv)
         }
     }
 
-    // Start the sampler before any job runs so every MultiGpuSystem
-    // registers its progress board (the Scheduler's Live fallback only
-    // covers the flagless NETCRAFTER_HEARTBEAT_* path).
+    // Start the sampler from NETCRAFTER_HEARTBEAT_* / _WATCHDOG_* and
+    // the telemetry flags before any job runs, so every MultiGpuSystem
+    // registers its progress board. (The Scheduler's Live fallback only
+    // adds the TTY line for library callers that started nothing.)
     if (telemetry.enabled())
         obs::Telemetry::instance().start(telemetry);
 
@@ -466,10 +411,10 @@ main(int argc, char **argv)
               << harness::Table::fmt(sim_seconds, 2)
               << "s total simulation time\n";
 
-    if (!opts.trace.outDir.empty()) {
-        std::filesystem::create_directories(opts.trace.outDir);
+    if (!opts.run.trace.outDir.empty()) {
+        std::filesystem::create_directories(opts.run.trace.outDir);
         const std::string path =
-            opts.trace.outDir + "/scheduler.host.trace.json";
+            opts.run.trace.outDir + "/scheduler.host.trace.json";
         if (!writeFile(path, [&](std::ostream &os) {
                 writeSchedulerHostTrace(scheduler, os);
             }))

@@ -130,8 +130,13 @@ main(int argc, char **argv)
         configs.push_back({"sector", config::sectorCacheConfig(16)});
     }
 
-    const obs::TraceOptions no_trace;
-    const sim::ExecPolicy serial_exec{0, false, 1};
+    // NETCRAFTER_SCALE multiplies --scale; every other run argument is
+    // pinned: serial, untraced, cycle vs the comparison fidelity.
+    harness::RunSpec spec = bench::envSpec();
+    spec.scale *= scale;
+    spec.shards = 1;
+    spec.exec = sim::ExecPolicy{0, false, 1};
+    spec.trace = {};
     const double tol = tolerance_pct / 100.0;
 
     struct PointRow
@@ -153,11 +158,12 @@ main(int argc, char **argv)
 
     for (const auto &[cfg_name, cfg] : configs) {
         for (const auto &app : bench::apps()) {
-            const RunResult c = harness::runWorkload(
-                app, cfg, scale, 1, no_trace, serial_exec,
-                flow::Fidelity::Cycle);
-            const RunResult h = harness::runWorkload(
-                app, cfg, scale, 1, no_trace, serial_exec, fidelity);
+            spec.workload = app;
+            spec.config = cfg;
+            spec.fidelity = flow::Fidelity::Cycle;
+            const RunResult c = harness::run(spec);
+            spec.fidelity = fidelity;
+            const RunResult h = harness::run(spec);
 
             PointRow row;
             row.config = cfg_name;
