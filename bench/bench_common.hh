@@ -73,31 +73,8 @@ run(const std::string &app, const SystemConfig &cfg,
     return harness::run(spec);
 }
 
-/** CPUs usable by this process (the affinity mask), for bench JSON. */
+/** CPUs usable by this process (the affinity mask). */
 using exp::hostCpus;
-
-/**
- * Loud undersubscription check for sharded bench modes: when the
- * process has fewer usable CPUs than the widest shard count it is
- * about to run, every "parallel" point actually measures
- * synchronization overhead, not speedup. Prints the warning to stderr
- * immediately and returns it so the bench can embed it in the JSON's
- * "notes" field (empty string when the host is wide enough).
- */
-inline std::string
-undersubscribedNote(const char *bench_name, unsigned max_shards)
-{
-    const unsigned cpus = hostCpus();
-    if (cpus >= max_shards)
-        return {};
-    std::string note = std::string("WARNING: host_cpus=") +
-                       std::to_string(cpus) + " < shards=" +
-                       std::to_string(max_shards) +
-                       ": sharded points measure synchronization "
-                       "overhead, not parallel speedup";
-    std::cerr << bench_name << ": " << note << "\n";
-    return note;
-}
 
 /** Print the standard figure banner. */
 inline void

@@ -1,5 +1,7 @@
 #include "src/harness/env_overlay.hh"
 
+#include <cctype>
+#include <cerrno>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -39,6 +41,35 @@ parseLong(const char *text, long &out)
     // strtol saturates overflow at LONG_MAX, so range checks against a
     // smaller cap also reject absurdly long digit strings.
     return end != text && *end == '\0';
+}
+
+/** strtoll over the whole of @p text; false on garbage or overflow. */
+bool
+parseLongLong(const char *text, long long &out)
+{
+    char *end = nullptr;
+    errno = 0;
+    out = std::strtoll(text, &end, 10);
+    return end != text && *end == '\0' && errno != ERANGE;
+}
+
+/**
+ * strtoull over the whole of @p text; false on garbage, overflow or a
+ * minus sign, which strtoull would negate into a huge value (also
+ * after the leading whitespace it skips).
+ */
+bool
+parseUnsignedLongLong(const char *text, unsigned long long &out)
+{
+    const char *digits = text;
+    while (std::isspace(static_cast<unsigned char>(*digits)))
+        ++digits;
+    if (*digits == '-')
+        return false;
+    char *end = nullptr;
+    errno = 0;
+    out = std::strtoull(text, &end, 10);
+    return end != text && *end == '\0' && errno != ERANGE;
 }
 
 /** strtod over the whole of @p text, positive and finite. */
@@ -206,9 +237,8 @@ parseStealMinBacklogEnv(const char *text, const char *what)
 Tick
 parseSampleIntervalEnv(const char *text, const char *what)
 {
-    char *end = nullptr;
-    const long long v = std::strtoll(text, &end, 10);
-    if (end == text || *end != '\0' || v < 0) {
+    long long v = 0;
+    if (!parseLongLong(text, v) || v < 0) {
         NC_FATAL(what, " must be a non-negative tick count, got '", text,
                  "'");
     }
@@ -229,9 +259,8 @@ parseServeLoadEnv(const char *text, const char *what)
 Tick
 parseServeTicksEnv(const char *text, const char *what)
 {
-    char *end = nullptr;
-    const long long v = std::strtoll(text, &end, 10);
-    if (end == text || *end != '\0' || v < 1) {
+    long long v = 0;
+    if (!parseLongLong(text, v) || v < 1) {
         NC_FATAL(what, " must be a positive tick count, got '", text,
                  "'");
     }
@@ -241,11 +270,8 @@ parseServeTicksEnv(const char *text, const char *what)
 std::uint64_t
 parseServeSeedEnv(const char *text, const char *what)
 {
-    // strtoull silently wraps negatives, so reject a leading '-'
-    // explicitly.
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(text, &end, 10);
-    if (text[0] == '-' || end == text || *end != '\0') {
+    unsigned long long v = 0;
+    if (!parseUnsignedLongLong(text, v)) {
         NC_FATAL(what, " must be a non-negative integer, got '", text,
                  "'");
     }

@@ -33,8 +33,6 @@ Link::transfer()
         usefulBytesTransferred_ += flit->usedBytes();
         ++flitsTransferred_;
         ++moved;
-        if (observer_)
-            observer_(*flit);
         sink_.tryPush(std::move(flit));
     }
     if (moved > 0) {

@@ -64,12 +64,6 @@ class Link : public sim::SimObject
     /** Last tick at which the link did any work. */
     Tick lastBusyTick() const { return lastBusyTick_; }
 
-    /** Observe every flit crossing the link (traffic monitors). */
-    void setObserver(std::function<void(const Flit &)> fn)
-    {
-        observer_ = std::move(fn);
-    }
-
   private:
     void transfer();
 
@@ -79,7 +73,6 @@ class Link : public sim::SimObject
     Tick latency_;
     sim::SelfScheduling<Link, &Link::transfer> wake_;
 
-    std::function<void(const Flit &)> observer_;
     std::uint64_t flitsTransferred_ = 0;
     std::uint64_t bytesTransferred_ = 0;
     std::uint64_t usefulBytesTransferred_ = 0;

@@ -1,11 +1,14 @@
 /**
  * @file
  * Tests for fidelity selection (CLI/env parsing), flow-lane
- * conservation and determinism on real runs, and the result-cache
- * fidelity key.
+ * conservation (on the Figure 14 grid too) and determinism on real
+ * runs, and the result-cache fidelity key.
  */
 
 #include <gtest/gtest.h>
+
+#include <cstdint>
+#include <string>
 
 #include "src/config/system_config.hh"
 #include "src/exp/result_cache.hh"
@@ -13,6 +16,7 @@
 #include "src/harness/env_overlay.hh"
 #include "src/harness/runner.hh"
 #include "src/sim/sharded_engine.hh"
+#include "tests/harness/fig14_grid.hh"
 #include "tests/harness/scoped_env.hh"
 
 namespace netcrafter::flow {
@@ -21,15 +25,34 @@ namespace {
 // Small problem, serial engine: fast enough for a unit test while
 // still pushing thousands of packets through the flow lane.
 harness::RunResult
-runAt(const char *workload, Fidelity fidelity, double scale = 0.05)
+runAt(const std::string &workload, Fidelity fidelity, double scale = 0.05,
+      const config::SystemConfig &cfg = config::baselineConfig())
 {
     harness::RunSpec spec;
     spec.workload = workload;
-    spec.config = config::baselineConfig();
+    spec.config = cfg;
     spec.scale = scale;
     spec.exec = sim::ExecPolicy{1, false, 1};
     spec.fidelity = fidelity;
     return harness::run(spec);
+}
+
+/**
+ * Flow-lane conservation on every Figure 14 grid point at @p fidelity:
+ * whatever the lane accepted, it delivered, packets and bytes alike.
+ */
+void
+expectGridConserves(Fidelity fidelity)
+{
+    std::uint64_t fused = 0;
+    for (const test::Fig14Point &point : test::fig14Grid()) {
+        const auto r = runAt(point.app, fidelity, 0.05, point.config);
+        EXPECT_EQ(r.flowPackets, r.flowPacketsDelivered) << point.label;
+        EXPECT_EQ(r.flowBytesInjected, r.flowBytesDelivered)
+            << point.label;
+        fused += r.flowPackets;
+    }
+    EXPECT_GT(fused, 0u);
 }
 
 /** The fidelity overlayEnv() leaves on a spec starting at @p start. */
@@ -106,6 +129,7 @@ TEST(FlowLane, FlowModeConservesPacketsAndBytes)
     // nothing the flow lane accepted may be lost or duplicated.
     EXPECT_EQ(r.flowPackets, r.flowPacketsDelivered);
     EXPECT_EQ(r.flowBytesInjected, r.flowBytesDelivered);
+    expectGridConserves(Fidelity::Flow);
 }
 
 TEST(FlowLane, HybridModeConservesAcrossLaneTransitions)
@@ -118,6 +142,7 @@ TEST(FlowLane, HybridModeConservesAcrossLaneTransitions)
     EXPECT_GT(r.flowCyclePackets, 0u);
     EXPECT_EQ(r.flowPackets, r.flowPacketsDelivered);
     EXPECT_EQ(r.flowBytesInjected, r.flowBytesDelivered);
+    expectGridConserves(Fidelity::Hybrid);
 }
 
 TEST(FlowLane, FlowModeIsDeterministic)

@@ -263,6 +263,11 @@ TEST(EnvOverlayDeathTest, InvalidValueDiesNamingItsVariable)
         {"NETCRAFTER_SERVE_WARMUP", "0"},
         {"NETCRAFTER_SERVE_MEASURE", "5k"},
         {"NETCRAFTER_SERVE_SEED", "-7"},
+        // strtoull skips the space, then negates; overflow saturates.
+        {"NETCRAFTER_SERVE_SEED", " -1"},
+        {"NETCRAFTER_SERVE_SEED", "99999999999999999999"},
+        {"NETCRAFTER_SERVE_MEASURE", "99999999999999999999"},
+        {"NETCRAFTER_SAMPLE_INTERVAL", "99999999999999999999"},
     };
     for (const auto &[var, value] : bad) {
         test::ScopedEnv env;

@@ -3,7 +3,8 @@
  * Observability determinism: the trace artifacts (Chrome-trace JSON,
  * time-series CSV, lifecycle stats) for one (workload, config, scale)
  * point must be byte-identical whether the simulation ran on 1, 2, or 4
- * shards — and turning tracing on must not change the measurement.
+ * shards — and turning tracing on must not change the measurement,
+ * on a sharded point and on every Figure 14 grid point.
  */
 
 #include <gtest/gtest.h>
@@ -15,21 +16,24 @@
 
 #include "src/harness/runner.hh"
 #include "src/obs/json_validate.hh"
+#include "tests/harness/fig14_grid.hh"
 
 namespace netcrafter {
 namespace {
 
 constexpr double kTinyScale = 0.34;
+/** The Figure 14 grid runs at GoldenCensus's scale. */
+constexpr double kGridScale = 0.05;
 
 harness::RunResult
 runAt(const std::string &app, const config::SystemConfig &cfg,
       unsigned shards, const obs::TraceOptions &trace = {},
-      const sim::ExecPolicy &exec = {})
+      const sim::ExecPolicy &exec = {}, double scale = kTinyScale)
 {
     harness::RunSpec spec;
     spec.workload = app;
     spec.config = cfg;
-    spec.scale = kTinyScale;
+    spec.scale = scale;
     spec.shards = shards;
     spec.trace = trace;
     spec.exec = exec;
@@ -196,6 +200,21 @@ TEST(ObsDeterminism, TracingDoesNotPerturbTheMeasurement)
     EXPECT_EQ(off.traceRecords, 0u);
     EXPECT_GT(on.traceRecords, 0u);
     EXPECT_GT(on.sampleRows, 0u);
+
+    // The Figure 14 grid on the default 2x2 topology, serial, with
+    // packet-level tracing and 10k-tick sampling kept in memory.
+    obs::TraceOptions packets;
+    packets.level = obs::TraceLevel::Packets;
+    packets.sampleInterval = 10'000;
+    for (const test::Fig14Point &point : test::fig14Grid()) {
+        const harness::RunResult grid_off =
+            runAt(point.app, point.config, 1, {}, {}, kGridScale);
+        const harness::RunResult grid_on =
+            runAt(point.app, point.config, 1, packets, {}, kGridScale);
+        EXPECT_TRUE(sameMeasurement(grid_off, grid_on)) << point.label;
+        EXPECT_GT(grid_on.traceRecords, 0u) << point.label;
+        EXPECT_EQ(grid_on.traceDropped, 0u) << point.label;
+    }
 }
 
 } // namespace

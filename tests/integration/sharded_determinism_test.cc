@@ -4,13 +4,18 @@
  * 2, and 4 engine shards must produce bit-identical measurements —
  * figure outputs and the event census alike. These points mirror the
  * fig03 (baseline vs ideal) and fig14 (cumulative NetCrafter
- * mechanisms) grids at test scale.
+ * mechanisms) grids at test scale; the Fig14Grid tests run the whole
+ * Figure 14 grid on 4 clusters under both executor regimes.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "src/harness/runner.hh"
 #include "src/sim/sharded_engine.hh"
+#include "tests/harness/fig14_grid.hh"
 
 namespace netcrafter {
 namespace {
@@ -24,27 +29,29 @@ shrink(config::SystemConfig cfg)
 }
 
 constexpr double kTinyScale = 0.34;
+/** The Figure 14 grid legs run at the quick-grid census scale. */
+constexpr double kGridScale = 0.1;
 
 harness::RunResult
 runAt(const std::string &app, const config::SystemConfig &cfg,
-      unsigned shards, const sim::ExecPolicy &exec = {})
+      unsigned shards, const sim::ExecPolicy &exec = {},
+      double scale = kTinyScale)
 {
     harness::RunSpec spec;
     spec.workload = app;
     spec.config = cfg;
-    spec.scale = kTinyScale;
+    spec.scale = scale;
     spec.shards = shards;
     spec.exec = exec;
     return harness::run(spec);
 }
 
+/** Asserts that @p parallel (@p shards shards) reproduces @p serial. */
 void
-expectShardInvariant(const std::string &app,
-                     const config::SystemConfig &cfg, unsigned shards)
+expectMatchesSerial(const std::string &app,
+                    const harness::RunResult &serial,
+                    const harness::RunResult &parallel, unsigned shards)
 {
-    const harness::RunResult serial = runAt(app, cfg, 1);
-    const harness::RunResult parallel = runAt(app, cfg, shards);
-
     EXPECT_TRUE(sameMeasurement(serial, parallel))
         << app << " diverged at " << shards << " shards: serial "
         << serial.cycles << " cycles / " << serial.events
@@ -71,6 +78,60 @@ expectShardInvariant(const std::string &app,
             EXPECT_GT(parallel.crossShardFlits, 0u) << app;
         }
     }
+}
+
+void
+expectShardInvariant(const std::string &app,
+                     const config::SystemConfig &cfg, unsigned shards)
+{
+    expectMatchesSerial(app, runAt(app, cfg, 1), runAt(app, cfg, shards),
+                        shards);
+}
+
+/**
+ * The Figure 14 grid on 4 clusters x 1 GPU: the default GPU count, one
+ * GPU per cluster, so 4 shards partition it fully.
+ */
+std::vector<test::Fig14Point>
+fourClusterGrid()
+{
+    std::vector<test::Fig14Point> grid = test::fig14Grid();
+    for (test::Fig14Point &point : grid) {
+        point.config.numClusters = 4;
+        point.config.gpusPerCluster = 1;
+    }
+    return grid;
+}
+
+/** The grid's serial reference, run once and shared by both legs. */
+const std::vector<harness::RunResult> &
+serialGrid()
+{
+    static const std::vector<harness::RunResult> runs = [] {
+        std::vector<harness::RunResult> out;
+        for (const test::Fig14Point &point : fourClusterGrid())
+            out.push_back(runAt(point.app, point.config, 1, {}, kGridScale));
+        return out;
+    }();
+    return runs;
+}
+
+/**
+ * Runs the grid at 4 shards under @p exec, checks every point against
+ * the serial reference, and returns the sharded runs.
+ */
+std::vector<harness::RunResult>
+expectGridMatchesSerial(const sim::ExecPolicy &exec)
+{
+    const std::vector<test::Fig14Point> grid = fourClusterGrid();
+    const std::vector<harness::RunResult> &serial = serialGrid();
+    std::vector<harness::RunResult> runs;
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+        runs.push_back(runAt(grid[i].app, grid[i].config, 4, exec,
+                             kGridScale));
+        expectMatchesSerial(grid[i].label, serial[i], runs.back(), 4);
+    }
+    return runs;
 }
 
 TEST(ShardedDeterminismTest, Fig03PointBaselineTwoShards)
@@ -186,6 +247,49 @@ TEST(ShardedDeterminismTest, StallCensusIsThreadCountInvariant)
     if (mux.barrierStallTicks > 0) {
         EXPECT_GT(mux.coveredStallTicks, 0u);
     }
+}
+
+TEST(ShardedDeterminismTest, Fig14GridSerialCensusIsPinned)
+{
+    // The quick-grid census anchor: refactors of the engine, the
+    // barrier or any model layer's host code may not move it. A
+    // modeling change that does must re-pin it on purpose.
+    std::uint64_t events = 0;
+    for (const harness::RunResult &r : serialGrid())
+        events += r.events;
+    EXPECT_EQ(events, 8'123'373u);
+}
+
+TEST(ShardedDeterminismTest, Fig14GridMatchesSerialOneThreadPerShard)
+{
+    // The doorbell-barrier regime: every shard on its own thread, so
+    // cross-shard delivery, parking and solo-round skipping all run
+    // concurrently.
+    for (const harness::RunResult &r :
+         expectGridMatchesSerial(sim::ExecPolicy{0, false, 1})) {
+        EXPECT_EQ(r.workThreads, 4u);
+        EXPECT_EQ(r.stealAttempts, 0u);
+    }
+}
+
+TEST(ShardedDeterminismTest, Fig14GridMatchesSerialWhenStealing)
+{
+    // The work-stealing regime: four shards multiplexed on two
+    // threads with the claim ledger on, so drained threads take whole
+    // windows from loaded shards.
+    std::uint64_t won = 0;
+    for (const harness::RunResult &r :
+         expectGridMatchesSerial(sim::ExecPolicy{2, true, 1})) {
+        EXPECT_EQ(r.workThreads, 2u);
+        EXPECT_EQ(r.stealAttempts, r.stealsWon + r.stealsAborted);
+        EXPECT_EQ(r.coveredStallTicks + r.residualStallTicks,
+                  r.barrierStallTicks);
+        won += r.stealsWon;
+    }
+    // Which thread wins a claim is host-schedule dependent, but over
+    // 30 points the ledger must fire: a grid without a single steal
+    // means the stealing path never ran.
+    EXPECT_GT(won, 0u);
 }
 
 TEST(ShardedDeterminismTest, TwoShardsMatchFourShardsOnMesh)

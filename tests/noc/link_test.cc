@@ -65,17 +65,6 @@ TEST_F(LinkFixture, BackpressureWhenSinkFull)
     EXPECT_EQ(src.size(), 2u);
 }
 
-TEST_F(LinkFixture, ObserverSeesEveryFlit)
-{
-    Link link(engine, "l", src, dst, 2);
-    int seen = 0;
-    link.setObserver([&](const Flit &) { ++seen; });
-    for (int i = 0; i < 5; ++i)
-        src.tryPush(mkFlit());
-    engine.run();
-    EXPECT_EQ(seen, 5);
-}
-
 TEST_F(LinkFixture, CountsWireAndUsefulBytes)
 {
     Link link(engine, "l", src, dst, 1);

@@ -1,10 +1,10 @@
 /**
  * @file
  * Live-telemetry tests: heartbeat/profiling/watchdog sampling must not
- * perturb the measurement at any shard count or steal policy, the
- * NDJSON heartbeat stream must be schema-clean, the self-profiling
- * phase columns must fill once armed, and the new export columns must
- * land at the end of the header.
+ * perturb the measurement at any shard count or steal policy, nor on
+ * any Figure 14 grid point; the NDJSON heartbeat stream must be
+ * schema-clean, the self-profiling phase columns must fill once armed,
+ * and the new export columns must land at the end of the header.
  */
 
 #include <gtest/gtest.h>
@@ -13,27 +13,31 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "src/exp/export.hh"
 #include "src/harness/runner.hh"
 #include "src/obs/json_validate.hh"
 #include "src/obs/progress_board.hh"
 #include "src/obs/telemetry.hh"
+#include "tests/harness/fig14_grid.hh"
 
 namespace netcrafter {
 namespace {
 
 constexpr double kTinyScale = 0.34;
+/** The Figure 14 grid runs at GoldenCensus's scale. */
+constexpr double kGridScale = 0.05;
 
 harness::RunResult
 runAt(const std::string &app, const config::SystemConfig &cfg,
       unsigned shards, const obs::TraceOptions &trace = {},
-      const sim::ExecPolicy &exec = {})
+      const sim::ExecPolicy &exec = {}, double scale = kTinyScale)
 {
     harness::RunSpec spec;
     spec.workload = app;
     spec.config = cfg;
-    spec.scale = kTinyScale;
+    spec.scale = scale;
     spec.shards = shards;
     spec.trace = trace;
     spec.exec = exec;
@@ -107,6 +111,12 @@ TEST(TelemetrySharded, HeartbeatSamplingDoesNotPerturbTheMeasurement)
     const harness::RunResult off2 = runAt(app, cfg, 2);
     EXPECT_TRUE(sameMeasurement(off1, off2));
     EXPECT_EQ(off1.phaseExecuteSeconds, 0.0); // profiling unarmed
+    // ...and every Figure 14 grid point, serial on the default 2x2.
+    const std::vector<test::Fig14Point> grid = test::fig14Grid();
+    std::vector<harness::RunResult> grid_off;
+    for (const test::Fig14Point &point : grid)
+        grid_off.push_back(
+            runAt(point.app, point.config, 1, {}, {}, kGridScale));
 
     const std::filesystem::path heartbeat =
         std::filesystem::path(::testing::TempDir()) /
@@ -127,6 +137,10 @@ TEST(TelemetrySharded, HeartbeatSamplingDoesNotPerturbTheMeasurement)
     const harness::RunResult on4 = runAt(app, cfg, 4);
     const harness::RunResult on4_steal =
         runAt(app, cfg, 4, obs::TraceOptions{}, sim::ExecPolicy{2, true, 1});
+    std::vector<harness::RunResult> grid_on;
+    for (const test::Fig14Point &point : grid)
+        grid_on.push_back(
+            runAt(point.app, point.config, 1, {}, {}, kGridScale));
 
     obs::Telemetry::instance().stop();
     ASSERT_FALSE(obs::Telemetry::instance().running());
@@ -135,6 +149,10 @@ TEST(TelemetrySharded, HeartbeatSamplingDoesNotPerturbTheMeasurement)
     EXPECT_TRUE(sameMeasurement(off1, on2));
     EXPECT_TRUE(sameMeasurement(off1, on4));
     EXPECT_TRUE(sameMeasurement(off1, on4_steal));
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+        EXPECT_TRUE(sameMeasurement(grid_off[i], grid_on[i]))
+            << grid[i].label;
+    }
 
     // A running sampler arms host-time self-profiling: the execute
     // phase accumulates real host time (diagnostics, not measurement).

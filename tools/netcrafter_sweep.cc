@@ -61,8 +61,9 @@ usage(int code)
           "  --jobs N          worker threads (default: all cores;\n"
           "                    1 = serial)\n"
           "  --shards N        engine shards per simulation (default 1\n"
-          "                    = serial; capped at the cluster count;\n"
-          "                    results are bit-identical either way).\n"
+          "                    = serial; more than the cluster count\n"
+          "                    is an error; results are bit-identical\n"
+          "                    at any valid count).\n"
           "                    The default worker count is divided by N\n"
           "                    so jobs x shards never oversubscribes\n"
           "  --scale X         problem-size multiplier (overrides\n"
