@@ -7,7 +7,6 @@
  * Usage: example_quickstart [workload] [scale] (plus NETCRAFTER_* vars)
  */
 
-#include <cstdlib>
 #include <iostream>
 #include <string>
 
@@ -24,7 +23,7 @@ main(int argc, char **argv)
 
     harness::RunSpec spec;
     spec.workload = argc > 1 ? argv[1] : "GUPS";
-    spec.scale = argc > 2 ? std::atof(argv[2]) : 1.0;
+    spec.scale = argc > 2 ? harness::parseScaleEnv(argv[2], "scale") : 1.0;
     harness::overlayEnv(spec);
     obs::Telemetry::instance().start(obs::TelemetryOptions::fromEnv());
 

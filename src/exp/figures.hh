@@ -1,13 +1,14 @@
 /**
  * @file
- * Declarative figure definitions. Each migrated figure of the paper's
- * evaluation is a named entry that (1) declares its sweep — every
+ * Declarative figure definitions: the one way a paper artifact is
+ * produced. Each table and figure of the paper's evaluation, plus the
+ * ablation, is a named entry that (1) declares its sweep — every
  * (workload, config, scale) point it needs — and (2) renders the
  * paper's rows from the collected results. The sweep runs through a
  * Scheduler, so figures share a ResultCache (the baseline is simulated
  * once per process, not once per figure) and parallelize across cores,
- * while the printed output stays byte-identical to the legacy serial
- * binaries.
+ * while the printed output is the same at any worker count.
+ * netcrafter-sweep is the command-line front end.
  */
 
 #ifndef NETCRAFTER_EXP_FIGURES_HH
@@ -19,7 +20,6 @@
 
 #include "src/config/system_config.hh"
 #include "src/exp/scheduler.hh"
-#include "src/harness/runner.hh"
 
 namespace netcrafter::exp {
 
@@ -31,31 +31,21 @@ struct FigureContext
     std::ostream &out;
 };
 
-/** One reproducible figure of the evaluation. */
+/** One reproducible table or figure of the evaluation. */
 struct Figure
 {
     const char *name;    // short id, e.g. "fig14"
-    const char *caption; // banner caption
+    const char *caption; // one-line description for --list
     void (*run)(FigureContext &ctx);
 };
 
-/** Every migrated figure, in paper order. */
+/** Every table and figure, in paper order, then the ablation. */
 const std::vector<Figure> &figureRegistry();
 
 /** Figure by short id; null when unknown. */
 const Figure *findFigure(const std::string &name);
 
-/**
- * Entry point for the per-figure binaries: run one figure on stdout
- * with a private cache. Takes the shared run flags (--jobs, --shards,
- * --fidelity, --trace-out, --trace-level, --sample-interval) over
- * their NETCRAFTER_* variables (harness::overlayEnv), and starts
- * telemetry from the NETCRAFTER_HEARTBEAT_* / _WATCHDOG_* environment.
- * Returns a process exit code.
- */
-int figureMain(const std::string &name, int argc, char **argv);
-
-// --- Shared helpers (previously in bench/bench_common.hh) -------------
+// --- Shared helpers ----------------------------------------------------
 
 /** Baseline + Stitching with Selective Flit Pooling at the sweet spot. */
 config::SystemConfig stitchSelective32();
@@ -65,14 +55,6 @@ config::SystemConfig stitchTrim();
 
 /** The full NetCrafter design point (adds Sequencing). */
 config::SystemConfig fullNetcrafter();
-
-/** Print the standard figure banner. */
-void banner(std::ostream &os, const std::string &fig,
-            const std::string &caption);
-
-/** Speedup of @p v over @p base execution cycles. */
-double speedup(const harness::RunResult &base,
-               const harness::RunResult &v);
 
 } // namespace netcrafter::exp
 

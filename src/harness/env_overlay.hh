@@ -3,11 +3,11 @@
  * The one place that reads NETCRAFTER_* run variables. The library run
  * path (harness::run, exp::Scheduler, MultiGpuSystem) takes every run
  * argument from its RunSpec or SchedulerOptions; only CLI entry points
- * (netcrafter-sweep, figureMain, the bench mains, validate-fidelity,
- * the quickstart example) call overlayEnv() to fill a spec from the
- * environment and their flags. Precedence is flag over environment
- * over default, and every value is validated: garbage is fatal and
- * names the flag or variable it came from.
+ * (netcrafter-sweep, validate-fidelity, the quickstart example) call
+ * overlayEnv() to fill a spec from the environment and their flags.
+ * Precedence is flag over environment over default, and every value is
+ * validated: garbage is fatal and names the flag or variable it came
+ * from.
  *
  * The process-wide diagnostic switches (NETCRAFTER_QUIET,
  * NETCRAFTER_TEARDOWN_CENSUS, NETCRAFTER_PROFILE) and the telemetry
@@ -37,11 +37,10 @@ class RunFlags
 {
   public:
     /**
-     * If argv[@p i] is one of the run flags figureMain and
-     * netcrafter-sweep share (--jobs, --shards, --fidelity,
-     * --trace-out, --trace-level, --sample-interval), record its value,
-     * advance @p i past it and return true. A flag without a value is
-     * fatal.
+     * If argv[@p i] is one of the shared run flags (--jobs, --shards,
+     * --fidelity, --trace-out, --trace-level, --sample-interval),
+     * record its value under its variable, advance @p i past it and
+     * return true. A flag without a value is fatal.
      */
     bool consume(int argc, char **argv, int &i);
 

@@ -2,7 +2,7 @@
  * @file
  * Experiment harness: runs one (workload, configuration) pair and
  * extracts every statistic the paper's figures need into a flat result
- * record, so each bench binary just sweeps configs and prints rows.
+ * record, so each figure just sweeps configs and prints rows.
  */
 
 #ifndef NETCRAFTER_HARNESS_RUNNER_HH

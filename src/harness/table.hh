@@ -1,7 +1,7 @@
 /**
  * @file
- * Fixed-width table printer for bench output: every figure binary emits
- * the paper's rows/series through this.
+ * Fixed-width table printer for figure output: every figure emits the
+ * paper's rows/series through this.
  */
 
 #ifndef NETCRAFTER_HARNESS_TABLE_HH

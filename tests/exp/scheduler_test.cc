@@ -69,7 +69,7 @@ TEST(Scheduler, ParallelMatchesSerialBitExactly)
 TEST(Scheduler, Fig03PointIdenticalSerialAndUnderParallelJobs)
 {
     // A real fig03 point (full-size baseline config, shrunken scale),
-    // as the figure binaries run it when NETCRAFTER_JOBS>1 engages the
+    // as netcrafter-sweep runs it when --jobs > 1 engages the
     // thread pool: pool-worker execution must reproduce the plain
     // serial measurement bit-for-bit — including the hot-path census
     // (near/far event counts, callback-pool high water) that

@@ -1,11 +1,13 @@
 /**
  * @file
- * netcrafter-sweep: regenerate any subset of the paper's figures in one
- * invocation. All selected figures share one thread-pool scheduler and
- * one result cache, so design points common to several figures (the
- * baseline above all) are simulated exactly once per run, in parallel
- * across cores, with numbers bit-identical to the legacy serial
- * binaries. Results can additionally be exported as JSON or CSV.
+ * netcrafter-sweep: regenerate any subset of the paper's tables and
+ * figures (and the ablation) in one invocation; it is the only front end
+ * of the figure registry (src/exp/figures.hh). All selected figures
+ * share one thread-pool scheduler and one result cache, so design
+ * points common to several figures (the baseline above all) are
+ * simulated exactly once per run, in parallel across cores, with output
+ * identical at any worker count. Results can additionally be exported
+ * as JSON or CSV.
  */
 
 #include <algorithm>
@@ -13,6 +15,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <iomanip>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -42,8 +45,9 @@ usage(int code)
     os << "usage: netcrafter-sweep [options] <figure>... | all\n"
           "       netcrafter-sweep --serve [options]\n"
           "\n"
-          "Regenerate paper figures through the parallel experiment\n"
-          "orchestrator. Figures share one result cache: every unique\n"
+          "Regenerate the paper's tables and figures (see --list)\n"
+          "through the parallel experiment orchestrator. Figures\n"
+          "share one result cache: every unique\n"
           "(workload, config, scale) point is simulated once per run.\n"
           "With --serve, run the open-loop serving saturation curve\n"
           "(baseline vs full NetCrafter) instead of figures.\n"
@@ -157,8 +161,10 @@ int
 listFigures()
 {
     std::cout << "available figures:\n";
-    for (const auto &fig : exp::figureRegistry())
-        std::cout << "  " << fig.name << "  " << fig.caption << "\n";
+    for (const auto &fig : exp::figureRegistry()) {
+        std::cout << "  " << std::left << std::setw(10) << fig.name
+                  << fig.caption << "\n";
+    }
     return 0;
 }
 

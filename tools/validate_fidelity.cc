@@ -16,24 +16,27 @@
  *
  *   --fidelity F   comparison fidelity (default hybrid)
  *   --quick        fig03/fig14-style subset: base + full configs only
- *   --scale S      problem-size multiplier (default 1.0)
+ *   --scale S      problem-size multiplier (default 1.0; multiplied
+ *                  by NETCRAFTER_SCALE)
  *   --tolerance P  max relative error, percent (default 2.0)
  *   --out FILE     JSON summary (default VALIDATE_fidelity.json)
  */
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
-#include "bench/bench_common.hh"
 #include "src/config/system_config.hh"
 #include "src/exp/export.hh"
+#include "src/exp/figures.hh"
 #include "src/flow/fidelity.hh"
+#include "src/harness/env_overlay.hh"
 #include "src/harness/runner.hh"
+#include "src/obs/telemetry.hh"
+#include "src/workloads/workload.hh"
 
 namespace {
 
@@ -102,9 +105,11 @@ main(int argc, char **argv)
         } else if (arg == "--quick") {
             quick = true;
         } else if (arg == "--scale" && i + 1 < argc) {
-            scale = std::strtod(argv[++i], nullptr);
+            scale = harness::parseScaleEnv(argv[++i], "--scale");
         } else if (arg == "--tolerance" && i + 1 < argc) {
-            tolerance_pct = std::strtod(argv[++i], nullptr);
+            // The same positive-finite check as a scale.
+            tolerance_pct =
+                harness::parseScaleEnv(argv[++i], "--tolerance");
         } else {
             std::cerr << "usage: validate-fidelity [--fidelity F] "
                          "[--quick] [--scale S] [--tolerance PCT] "
@@ -120,20 +125,22 @@ main(int argc, char **argv)
 
     std::vector<std::pair<std::string, SystemConfig>> configs = {
         {"base", config::baselineConfig()},
-        {"full", bench::fullNetcrafter()},
+        {"full", exp::fullNetcrafter()},
     };
     if (!quick) {
         configs.insert(configs.begin() + 1,
-                       {"stitch", bench::stitchSelective32()});
+                       {"stitch", exp::stitchSelective32()});
         configs.insert(configs.begin() + 2,
-                       {"trim", bench::stitchTrim()});
+                       {"trim", exp::stitchTrim()});
         configs.push_back({"sector", config::sectorCacheConfig(16)});
     }
 
     // NETCRAFTER_SCALE multiplies --scale; every other run argument is
     // pinned: serial, untraced, cycle vs the comparison fidelity.
-    harness::RunSpec spec = bench::envSpec();
-    spec.scale *= scale;
+    obs::Telemetry::instance().start(obs::TelemetryOptions::fromEnv());
+    harness::RunSpec spec;
+    spec.scale = scale;
+    harness::overlayEnv(spec);
     spec.shards = 1;
     spec.exec = sim::ExecPolicy{0, false, 1};
     spec.trace = {};
@@ -157,7 +164,7 @@ main(int argc, char **argv)
     std::string worst_at;
 
     for (const auto &[cfg_name, cfg] : configs) {
-        for (const auto &app : bench::apps()) {
+        for (const auto &app : workloads::workloadNames()) {
             spec.workload = app;
             spec.config = cfg;
             spec.fidelity = flow::Fidelity::Cycle;
@@ -216,7 +223,8 @@ main(int argc, char **argv)
     os << "  \"fidelity\": \"" << flow::fidelityName(fidelity)
        << "\",\n";
     os << "  \"quick\": " << (quick ? "true" : "false") << ",\n";
-    os << "  \"scale\": " << scale << ",\n";
+    // The scale the points simulated: --scale times NETCRAFTER_SCALE.
+    os << "  \"scale\": " << spec.scale << ",\n";
     os << "  \"tolerance_pct\": " << tolerance_pct << ",\n";
     os << "  \"errors_within_tolerance\": "
        << (errors_ok ? "true" : "false") << ",\n";
