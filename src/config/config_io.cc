@@ -1,5 +1,6 @@
 #include "src/config/config_io.hh"
 
+#include <charconv>
 #include <functional>
 #include <iomanip>
 #include <map>
@@ -26,6 +27,16 @@ toStr(const T &v)
     std::ostringstream os;
     os << v;
     return os.str();
+}
+
+/** Shortest text that parses back to exactly @p v, so distinct values
+ *  never share a digest. */
+std::string
+toStr(double v)
+{
+    char buf[32];
+    const auto res = std::to_chars(buf, buf + sizeof(buf), v);
+    return std::string(buf, res.ptr);
 }
 
 std::uint64_t

@@ -4,6 +4,7 @@
 #include <limits>
 #include <ostream>
 #include <sstream>
+#include <type_traits>
 
 #include "src/flow/fidelity.hh"
 
@@ -21,185 +22,44 @@ num(double v)
     return os.str();
 }
 
-std::string
-num(std::uint64_t v)
+/** One exported cell: its column and rendered value. */
+struct Cell
 {
-    return std::to_string(v);
-}
-
-/** One exported column: name plus a value renderer. */
-struct FieldDef
-{
-    const char *name;
-    std::string (*value)(const ExportRecord &);
-    bool quoted; // JSON: emit as string rather than number
+    std::string column;
+    std::string text;
+    bool quoted = false; // JSON: emit as string rather than number
 };
 
-#define STR_FIELD(name, expr)                                            \
-    FieldDef                                                             \
-    {                                                                    \
-        name, [](const ExportRecord &r) { return std::string(expr); },   \
-            true                                                         \
-    }
-#define NUM_FIELD(name, expr)                                            \
-    FieldDef                                                             \
-    {                                                                    \
-        name, [](const ExportRecord &r) { return num(expr); }, false     \
-    }
-
-const std::vector<FieldDef> &
-fields()
+/** Render one metric: integers exactly, doubles at round-trip
+ *  precision, the fidelity by name. */
+template <typename T>
+Cell
+metricCell(const std::string &column, const T &value)
 {
-    static const std::vector<FieldDef> defs = {
-        STR_FIELD("job", r.label),
-        STR_FIELD("workload", r.result.workload),
-        FieldDef{"config_digest",
-                 [](const ExportRecord &r) {
-                     return config::digestHex(r.configDigest);
-                 },
-                 true},
-        NUM_FIELD("scale", r.scale),
-        NUM_FIELD("cycles", static_cast<std::uint64_t>(r.result.cycles)),
-        NUM_FIELD("events", r.result.events),
-        NUM_FIELD("instructions", r.result.instructions),
-        NUM_FIELD("l1_read_accesses", r.result.l1ReadAccesses),
-        NUM_FIELD("l1_read_misses", r.result.l1ReadMisses),
-        NUM_FIELD("l1_mpki", r.result.l1Mpki),
-        NUM_FIELD("inter_flits", r.result.interFlits),
-        NUM_FIELD("inter_wire_bytes", r.result.interWireBytes),
-        NUM_FIELD("inter_useful_bytes", r.result.interUsefulBytes),
-        NUM_FIELD("inter_utilization", r.result.interUtilization),
-        NUM_FIELD("ptw_byte_fraction", r.result.ptwByteFraction),
-        NUM_FIELD("padded_flit_fraction", r.result.paddedFlitFraction),
-        NUM_FIELD("quarter_padded_fraction",
-                  r.result.quarterPaddedFraction),
-        NUM_FIELD("three_quarter_padded_fraction",
-                  r.result.threeQuarterPaddedFraction),
-        NUM_FIELD("stitched_fraction", r.result.stitchedFraction),
-        NUM_FIELD("stitched_pieces", r.result.stitchedPieces),
-        NUM_FIELD("trimmed_packets", r.result.trimmedPackets),
-        NUM_FIELD("bytes_trimmed", r.result.bytesTrimmed),
-        NUM_FIELD("pooling_arms", r.result.poolingArms),
-        NUM_FIELD("avg_inter_read_latency", r.result.avgInterReadLatency),
-        NUM_FIELD("inter_reads", r.result.interReads),
-        NUM_FIELD("remote_reads", r.result.remoteReads),
-        NUM_FIELD("local_reads", r.result.localReads),
-        NUM_FIELD("page_walks", r.result.pageWalks),
-        NUM_FIELD("mean_walk_length", r.result.meanWalkLength),
-        NUM_FIELD("bytes_needed_le16", r.result.bytesNeededFrac[0]),
-        NUM_FIELD("bytes_needed_le32", r.result.bytesNeededFrac[1]),
-        NUM_FIELD("bytes_needed_le48", r.result.bytesNeededFrac[2]),
-        NUM_FIELD("bytes_needed_lt64", r.result.bytesNeededFrac[3]),
-        NUM_FIELD("bytes_needed_64", r.result.bytesNeededFrac[4]),
-        NUM_FIELD("wall_seconds", r.result.wallSeconds),
-        // Hot-path census columns are appended at the end so existing
-        // consumers keyed on the header prefix keep working.
-        NUM_FIELD("events_per_second", r.result.eventsPerSecond),
-        NUM_FIELD("near_events", r.result.nearEvents),
-        NUM_FIELD("far_events", r.result.farEvents),
-        NUM_FIELD("callback_pool_high_water",
-                  r.result.callbackPoolHighWater),
-        NUM_FIELD("callback_arena_bytes", r.result.callbackArenaBytes),
-        NUM_FIELD("packet_pool_high_water", r.result.packetPoolHighWater),
-        NUM_FIELD("flit_pool_high_water", r.result.flitPoolHighWater),
-        NUM_FIELD("pool_arena_bytes", r.result.poolArenaBytes),
-        NUM_FIELD("smallfn_heap_allocs", r.result.smallFnHeapAllocs),
-        // Sharded-execution diagnostics (all zero/one when serial).
-        NUM_FIELD("shards", std::uint64_t{r.result.shards}),
-        NUM_FIELD("quanta_executed", r.result.quantaExecuted),
-        NUM_FIELD("barrier_stall_ticks", r.result.barrierStallTicks),
-        NUM_FIELD("cross_shard_flits", r.result.crossShardFlits),
-        NUM_FIELD("max_ingress_depth", r.result.maxIngressDepth),
-        NUM_FIELD("barrier_rounds_skipped", r.result.barrierRoundsSkipped),
-        NUM_FIELD("idle_parks", r.result.idleParks),
-        NUM_FIELD("work_threads", std::uint64_t{r.result.workThreads}),
-        NUM_FIELD("steal_attempts", r.result.stealAttempts),
-        NUM_FIELD("steals_won", r.result.stealsWon),
-        NUM_FIELD("steals_aborted", r.result.stealsAborted),
-        NUM_FIELD("covered_stall_ticks", r.result.coveredStallTicks),
-        NUM_FIELD("residual_stall_ticks", r.result.residualStallTicks),
-        NUM_FIELD("load_spread_mean", r.result.loadSpreadMean),
-        NUM_FIELD("adaptive_window_samples",
-                  r.result.adaptiveWindowSamples),
-        NUM_FIELD("adaptive_window_ticks_mean",
-                  r.result.adaptiveWindowMean),
-        NUM_FIELD("adaptive_window_ticks_max", r.result.adaptiveWindowMax),
-        // Observability diagnostics (all zero with tracing off).
-        NUM_FIELD("trace_records", r.result.traceRecords),
-        NUM_FIELD("trace_dropped", r.result.traceDropped),
-        NUM_FIELD("sample_rows", r.result.sampleRows),
-        // Open-loop serving measurements (all zero for closed-loop
-        // jobs); latencies in cycles, classes indexed read/write/ptw
-        // with "all" the merged aggregate.
-        NUM_FIELD("offered_load", r.result.offeredLoad),
-        NUM_FIELD("serve_injected", r.result.serveInjected),
-        NUM_FIELD("serve_measured", r.result.serveMeasured),
-        NUM_FIELD("serve_completed", r.result.serveCompleted),
-        NUM_FIELD("serve_peak_inflight", r.result.servePeakInflight),
-        NUM_FIELD("serve_throughput", r.result.serveThroughput),
-        NUM_FIELD("serve_read_measured", r.result.serveClasses[0].measured),
-        NUM_FIELD("serve_read_mean", r.result.serveClasses[0].meanLatency),
-        NUM_FIELD("serve_read_p50", r.result.serveClasses[0].p50),
-        NUM_FIELD("serve_read_p95", r.result.serveClasses[0].p95),
-        NUM_FIELD("serve_read_p99", r.result.serveClasses[0].p99),
-        NUM_FIELD("serve_read_p999", r.result.serveClasses[0].p999),
-        NUM_FIELD("serve_write_measured",
-                  r.result.serveClasses[1].measured),
-        NUM_FIELD("serve_write_mean", r.result.serveClasses[1].meanLatency),
-        NUM_FIELD("serve_write_p50", r.result.serveClasses[1].p50),
-        NUM_FIELD("serve_write_p95", r.result.serveClasses[1].p95),
-        NUM_FIELD("serve_write_p99", r.result.serveClasses[1].p99),
-        NUM_FIELD("serve_write_p999", r.result.serveClasses[1].p999),
-        NUM_FIELD("serve_ptw_measured", r.result.serveClasses[2].measured),
-        NUM_FIELD("serve_ptw_mean", r.result.serveClasses[2].meanLatency),
-        NUM_FIELD("serve_ptw_p50", r.result.serveClasses[2].p50),
-        NUM_FIELD("serve_ptw_p95", r.result.serveClasses[2].p95),
-        NUM_FIELD("serve_ptw_p99", r.result.serveClasses[2].p99),
-        NUM_FIELD("serve_ptw_p999", r.result.serveClasses[2].p999),
-        NUM_FIELD("serve_all_measured", r.result.serveClasses[3].measured),
-        NUM_FIELD("serve_all_mean", r.result.serveClasses[3].meanLatency),
-        NUM_FIELD("serve_all_p50", r.result.serveClasses[3].p50),
-        NUM_FIELD("serve_all_p95", r.result.serveClasses[3].p95),
-        NUM_FIELD("serve_all_p99", r.result.serveClasses[3].p99),
-        NUM_FIELD("serve_all_p999", r.result.serveClasses[3].p999),
-        // Flow-lane fidelity: the fidelity the run executed at, plus
-        // the lane census (all zero at cycle fidelity). The packet and
-        // byte pairs are exact-conservation invariants after a drained
-        // run; the wait splits decompose flow-lane network latency.
-        STR_FIELD("fidelity", flow::fidelityName(r.result.fidelity)),
-        NUM_FIELD("flow_packets", r.result.flowPackets),
-        NUM_FIELD("flow_cycle_packets", r.result.flowCyclePackets),
-        NUM_FIELD("flow_packets_delivered",
-                  r.result.flowPacketsDelivered),
-        NUM_FIELD("flow_bytes_injected", r.result.flowBytesInjected),
-        NUM_FIELD("flow_bytes_delivered", r.result.flowBytesDelivered),
-        NUM_FIELD("flow_epochs_closed", r.result.flowEpochsClosed),
-        NUM_FIELD("flow_lane_activations", r.result.flowLaneActivations),
-        NUM_FIELD("flow_lane_escalations", r.result.flowLaneEscalations),
-        NUM_FIELD("flow_recomputes", r.result.flowRecomputes),
-        NUM_FIELD("flow_md1_wait_ticks", r.result.flowMd1WaitTicks),
-        NUM_FIELD("flow_fifo_wait_ticks", r.result.flowFifoWaitTicks),
-        // Host-time self-profiling phase split (all zero unless the
-        // run was traced, NETCRAFTER_PROFILE was set, or live
-        // telemetry was on) plus the suppressed-warning tally.
-        NUM_FIELD("warnings_suppressed", r.result.warningsSuppressed),
-        NUM_FIELD("phase_execute_seconds", r.result.phaseExecuteSeconds),
-        NUM_FIELD("phase_barrier_wait_seconds",
-                  r.result.phaseBarrierWaitSeconds),
-        NUM_FIELD("phase_ingress_seconds", r.result.phaseIngressSeconds),
-        NUM_FIELD("phase_steal_scan_seconds",
-                  r.result.phaseStealScanSeconds),
-        NUM_FIELD("phase_export_seconds", r.result.phaseExportSeconds),
-        // Wire-head conservation check: equals the transferred census
-        // after a drained cycle-fidelity run.
-        NUM_FIELD("wire_flits_delivered", r.result.wireFlitsDelivered),
-        NUM_FIELD("wire_bytes_delivered", r.result.wireBytesDelivered),
-    };
-    return defs;
+    if constexpr (std::is_same_v<T, flow::Fidelity>)
+        return {column, flow::fidelityName(value), true};
+    else if constexpr (std::is_floating_point_v<T>)
+        return {column, num(value)};
+    else
+        return {column, std::to_string(value)};
 }
 
-#undef STR_FIELD
-#undef NUM_FIELD
+/** The columns of @p r: its identity, then the metric table's. */
+std::vector<Cell>
+cells(const ExportRecord &r)
+{
+    std::vector<Cell> out = {
+        {"job", r.label, true},
+        {"workload", r.result.workload, true},
+        {"config_digest", config::digestHex(r.configDigest), true},
+        {"scale", num(r.scale)},
+    };
+    harness::forEachMetric(
+        r.result, [&](const std::string &column, const auto &value) {
+            out.push_back(metricCell(column, value));
+        });
+    return out;
+}
 
 /** CSV-quote @p s only when it contains a delimiter or quote. */
 std::string
@@ -257,13 +117,14 @@ recordsFromCache(const ResultCache &cache)
 void
 writeCsv(const std::vector<ExportRecord> &records, std::ostream &os)
 {
-    const auto &defs = fields();
-    for (std::size_t i = 0; i < defs.size(); ++i)
-        os << (i ? "," : "") << defs[i].name;
+    const std::vector<Cell> header = cells(ExportRecord{});
+    for (std::size_t i = 0; i < header.size(); ++i)
+        os << (i ? "," : "") << header[i].column;
     os << "\n";
     for (const auto &r : records) {
-        for (std::size_t i = 0; i < defs.size(); ++i)
-            os << (i ? "," : "") << csvCell(defs[i].value(r));
+        const std::vector<Cell> row = cells(r);
+        for (std::size_t i = 0; i < row.size(); ++i)
+            os << (i ? "," : "") << csvCell(row[i].text);
         os << "\n";
     }
 }
@@ -271,17 +132,16 @@ writeCsv(const std::vector<ExportRecord> &records, std::ostream &os)
 void
 writeJson(const std::vector<ExportRecord> &records, std::ostream &os)
 {
-    const auto &defs = fields();
     os << "{\n  \"results\": [";
     for (std::size_t r = 0; r < records.size(); ++r) {
         os << (r ? ",\n    {" : "\n    {");
-        for (std::size_t i = 0; i < defs.size(); ++i) {
-            const std::string v = defs[i].value(records[r]);
-            os << (i ? ", " : "") << "\"" << defs[i].name << "\": ";
-            if (defs[i].quoted)
-                os << "\"" << jsonEscape(v) << "\"";
+        const std::vector<Cell> row = cells(records[r]);
+        for (std::size_t i = 0; i < row.size(); ++i) {
+            os << (i ? ", " : "") << "\"" << row[i].column << "\": ";
+            if (row[i].quoted)
+                os << "\"" << jsonEscape(row[i].text) << "\"";
             else
-                os << v;
+                os << row[i].text;
         }
         os << "}";
     }

@@ -2,8 +2,9 @@
  * @file
  * Machine-readable exporters: sweep / cache results as JSON or CSV and
  * a stats::Registry as JSON, alongside the human-oriented table
- * printer. Both result formats share one field registry so their
- * schemas cannot drift apart.
+ * printer. Both result formats take their columns from the metric
+ * table (src/harness/run_metrics.def), so their schemas cannot drift
+ * apart.
  */
 
 #ifndef NETCRAFTER_EXP_EXPORT_HH

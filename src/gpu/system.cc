@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdlib>
 
 #include "src/obs/telemetry.hh"
@@ -650,6 +651,10 @@ sim::RunStatus
 MultiGpuSystem::runFor(workloads::Workload &workload, double scale,
                        Tick max_cycles)
 {
+    if (!(scale > 0 && std::isfinite(scale))) {
+        NC_FATAL(workload.name(), ": scale must be a positive finite "
+                 "number, got ", scale);
+    }
     workloads::BuildContext ctx;
     ctx.numGpus = cfg_.numGpus();
     ctx.scale = scale;

@@ -90,7 +90,7 @@ collectSystemStats(RunResult &r, gpu::MultiGpuSystem &system,
     r.meanWalkLength = system.meanWalkLength();
 
     const stats::Distribution dist = system.remoteReadBytesNeeded();
-    for (std::size_t i = 0; i < 5; ++i)
+    for (std::size_t i = 0; i < r.bytesNeededFrac.size(); ++i)
         r.bytesNeededFrac[i] = dist.fraction(i);
 
     const sim::ShardedEngine &engines = system.engines();
@@ -257,19 +257,9 @@ collectServeStats(RunResult &r, const serve::ServeConfig &serve,
     r.serveCompleted = report.completed;
     r.servePeakInflight = report.peakInflight;
     r.serveThroughput = report.throughput;
-    auto toResult = [](const serve::ClassLatency &c) {
-        ServeClassResult out;
-        out.measured = c.measured;
-        out.meanLatency = c.meanLatency;
-        out.p50 = c.p50;
-        out.p95 = c.p95;
-        out.p99 = c.p99;
-        out.p999 = c.p999;
-        return out;
-    };
     for (std::size_t c = 0; c < serve::kNumTrafficClasses; ++c)
-        r.serveClasses[c] = toResult(report.perClass[c]);
-    r.serveClasses[3] = toResult(report.aggregate);
+        r.serveClasses[c] = report.perClass[c];
+    r.serveClasses[3] = report.aggregate;
 }
 
 } // namespace
@@ -326,41 +316,13 @@ geomean(const std::vector<double> &xs)
 bool
 sameMeasurement(const RunResult &a, const RunResult &b)
 {
-    return a.workload == b.workload && a.cycles == b.cycles &&
-           a.events == b.events && a.instructions == b.instructions &&
-           a.l1ReadAccesses == b.l1ReadAccesses &&
-           a.l1ReadMisses == b.l1ReadMisses && a.l1Mpki == b.l1Mpki &&
-           a.interFlits == b.interFlits &&
-           a.interWireBytes == b.interWireBytes &&
-           a.interUsefulBytes == b.interUsefulBytes &&
-           a.interUtilization == b.interUtilization &&
-           a.ptwByteFraction == b.ptwByteFraction &&
-           a.paddedFlitFraction == b.paddedFlitFraction &&
-           a.quarterPaddedFraction == b.quarterPaddedFraction &&
-           a.threeQuarterPaddedFraction == b.threeQuarterPaddedFraction &&
-           a.stitchedFraction == b.stitchedFraction &&
-           a.stitchedPieces == b.stitchedPieces &&
-           a.trimmedPackets == b.trimmedPackets &&
-           a.bytesTrimmed == b.bytesTrimmed &&
-           a.poolingArms == b.poolingArms &&
-           a.avgInterReadLatency == b.avgInterReadLatency &&
-           a.interReads == b.interReads &&
-           a.remoteReads == b.remoteReads &&
-           a.localReads == b.localReads && a.pageWalks == b.pageWalks &&
-           a.meanWalkLength == b.meanWalkLength &&
-           a.bytesNeededFrac == b.bytesNeededFrac &&
-           a.offeredLoad == b.offeredLoad &&
-           a.serveInjected == b.serveInjected &&
-           a.serveMeasured == b.serveMeasured &&
-           a.serveCompleted == b.serveCompleted &&
-           a.servePeakInflight == b.servePeakInflight &&
-           a.serveThroughput == b.serveThroughput &&
-           a.serveClasses == b.serveClasses;
-    // Everything below the serveClasses field in RunResult is a
-    // diagnostic of how the simulator executed, not what it simulated:
-    // wall-clock rates, the sharded-execution census, and queue/pool
-    // gauges whose per-shard splits depend on the shard count. A
-    // serial and a sharded run must compare equal here.
+    bool same = a.workload == b.workload;
+#define NC_METRIC(type, member, column, kind)                           \
+    same = same && (MetricKind::kind == MetricKind::Diagnostic ||       \
+                    a.member == b.member);
+#include "src/harness/run_metrics.def"
+#undef NC_METRIC
+    return same;
 }
 
 } // namespace netcrafter::harness

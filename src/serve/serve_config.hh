@@ -20,6 +20,27 @@
 
 namespace netcrafter::serve {
 
+/**
+ * Latency summary of one class (or the aggregate) over a run, in
+ * cycles from the mergeable quantile sketch: identical for every shard
+ * count.
+ */
+struct ClassLatency
+{
+    /** Requests measured (arrived inside the measurement window). */
+    std::uint64_t measured = 0;
+
+    double meanLatency = 0;
+
+    std::uint64_t p50 = 0;
+    std::uint64_t p95 = 0;
+    std::uint64_t p99 = 0;
+    std::uint64_t p999 = 0;
+
+    friend bool operator==(const ClassLatency &,
+                           const ClassLatency &) = default;
+};
+
 /** All knobs of one open-loop serving scenario. */
 struct ServeConfig
 {

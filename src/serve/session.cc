@@ -1,6 +1,7 @@
 #include "src/serve/session.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <string>
 
 #include "src/obs/progress_board.hh"
@@ -33,6 +34,10 @@ ServeSession::ServeSession(gpu::MultiGpuSystem &sys,
 {
     NC_ASSERT(cfg_.enabled, "ServeSession with serving disabled");
     cfg_.validate();
+    if (!(scale > 0 && std::isfinite(scale))) {
+        NC_FATAL("serving scale must be a positive finite number, got ",
+                 scale);
+    }
 
     const std::uint32_t num_gpus = sys_.cfg().numGpus();
 

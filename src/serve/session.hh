@@ -41,20 +41,6 @@
 
 namespace netcrafter::serve {
 
-/** Latency summary of one class (or the aggregate) over a run. */
-struct ClassLatency
-{
-    /** Requests measured (arrived inside the measurement window). */
-    std::uint64_t measured = 0;
-
-    double meanLatency = 0;
-
-    std::uint64_t p50 = 0;
-    std::uint64_t p95 = 0;
-    std::uint64_t p99 = 0;
-    std::uint64_t p999 = 0;
-};
-
 /** Everything a serving run reports. */
 struct ServeReport
 {

@@ -9,6 +9,7 @@
  */
 
 #include <cmath>
+#include <limits>
 
 #include "src/sched/lasp.hh"
 #include "src/sim/logging.hh"
@@ -81,9 +82,15 @@ class MixWorkload : public Workload
         KernelInfo shape;
         shape.numCtas = spec_.numCtas;
         shape.wavesPerCta = spec_.wavesPerCta;
+        const double instrs = std::round(spec_.instrsPerWave * ctx.scale);
+        if (!(instrs >= 0 &&
+              instrs <= std::numeric_limits<std::uint32_t>::max())) {
+            NC_FATAL(spec_.name, ": scale ", ctx.scale, " gives ", instrs,
+                     " instructions per wavefront, which does not fit 32 "
+                     "bits");
+        }
         shape.instructionsPerWave = std::max<std::uint32_t>(
-            1, static_cast<std::uint32_t>(
-                   std::lround(spec_.instrsPerWave * ctx.scale)));
+            1, static_cast<std::uint32_t>(instrs));
 
         std::vector<AccessStream> streams;
         for (const auto &ss : spec_.streams) {

@@ -157,6 +157,11 @@ TEST(ConfigDigest, AnyFieldChangeChangesTheDigest)
     cfg = baselineConfig();
     cfg.l1FillMode = L1FillMode::SectorAlways;
     EXPECT_NE(cfg.digest(), base);
+
+    // A change below the sixth significant digit still counts.
+    cfg = baselineConfig();
+    cfg.interClusterGBps *= 1 + 1e-7;
+    EXPECT_NE(cfg.digest(), base);
 }
 
 TEST(ConfigDigest, DistinctPresetsAreDistinct)
@@ -181,9 +186,17 @@ TEST(ConfigDigest, SurvivesSerializationRoundTrip)
 {
     // digest() hashes the serialized form, so a parse round-trip must
     // preserve it.
-    const SystemConfig cfg = netcrafterConfig();
-    const SystemConfig reparsed =
-        parseConfigString(configToString(cfg));
+    SystemConfig cfg = netcrafterConfig();
+    SystemConfig reparsed = parseConfigString(configToString(cfg));
+    EXPECT_EQ(cfg.digest(), reparsed.digest());
+
+    // Doubles that need more than six significant digits come back
+    // exactly.
+    cfg.netcrafter.priorityDataFraction = 0.1234561;
+    cfg.interClusterGBps = 16.0000016;
+    reparsed = parseConfigString(configToString(cfg));
+    EXPECT_EQ(reparsed.netcrafter.priorityDataFraction, 0.1234561);
+    EXPECT_EQ(reparsed.interClusterGBps, 16.0000016);
     EXPECT_EQ(cfg.digest(), reparsed.digest());
 }
 

@@ -71,9 +71,8 @@ TEST(Scheduler, Fig03PointIdenticalSerialAndUnderParallelJobs)
     // A real fig03 point (full-size baseline config, shrunken scale),
     // as netcrafter-sweep runs it when --jobs > 1 engages the
     // thread pool: pool-worker execution must reproduce the plain
-    // serial measurement bit-for-bit — including the hot-path census
-    // (near/far event counts, callback-pool high water) that
-    // sameMeasurement now also compares.
+    // serial measurement bit-for-bit: every Measurement row of the
+    // metric table.
     harness::RunSpec run_spec;
     run_spec.workload = "GUPS";
     run_spec.config = config::baselineConfig();

@@ -7,7 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <regex>
+#include <set>
 #include <sstream>
+#include <type_traits>
 
 #include "src/harness/env_overlay.hh"
 #include "src/harness/runner.hh"
@@ -437,35 +441,84 @@ TEST(ParseServeSeedEnvDeathTest, RejectsBadValues)
                 "NETCRAFTER_SERVE_SEED");
 }
 
+TEST(RunDeathTest, RejectsAScaleThatIsNotPositiveAndFinite)
+{
+    RunSpec spec;
+    spec.workload = "GUPS";
+    spec.config = config::baselineConfig();
+    const auto dies = [&](double scale, const char *message) {
+        spec.scale = scale;
+        EXPECT_EXIT(run(spec), testing::ExitedWithCode(1), message);
+    };
+    dies(-3, "scale must be a positive finite number, got -3");
+    dies(0, "scale must be a positive finite number, got 0");
+    dies(std::nan(""), "scale must be a positive finite number, got -?nan");
+    dies(HUGE_VAL, "scale must be a positive finite number, got inf");
+    // Positive and finite, but the per-wavefront instruction count
+    // overflows the kernel shape's 32 bits.
+    dies(1e12, "GUPS: scale 1e\\+12 gives .* instructions per wavefront");
+
+    spec.serve.enabled = true;
+    dies(-3, "serving scale must be a positive finite number, got -3");
+    dies(std::nan(""),
+         "serving scale must be a positive finite number, got -?nan");
+}
+
+/** Change @p v so that it no longer equals its old value. */
+template <typename T>
+void
+perturb(T &v)
+{
+    if constexpr (std::is_same_v<T, flow::Fidelity>)
+        v = v == flow::Fidelity::Cycle ? flow::Fidelity::Hybrid
+                                       : flow::Fidelity::Cycle;
+    else
+        v += 1;
+}
+
+void
+perturb(ServeClassResult &c)
+{
+    perturb(c.p99);
+}
+
+template <typename T, std::size_t N>
+void
+perturb(std::array<T, N> &v)
+{
+    perturb(v[N - 1]);
+}
+
 TEST(SameMeasurement, DetectsAnyFieldDifference)
 {
-    RunResult a;
-    a.workload = "GUPS";
-    a.cycles = 10;
-    a.l1Mpki = 1.5;
-    RunResult b = a;
-    EXPECT_TRUE(sameMeasurement(a, b));
-
-    // wallSeconds is diagnostics-only and must not affect equality.
-    b.wallSeconds = 99.0;
-    EXPECT_TRUE(sameMeasurement(a, b));
-
-    b = a;
-    b.cycles = 11;
+    // Every Measurement row of the metric table takes part in equality,
+    // and no Diagnostic row does.
+    const RunResult a;
+    RunResult b;
+    b.workload = "other";
     EXPECT_FALSE(sameMeasurement(a, b));
 
-    b = a;
-    b.bytesNeededFrac[2] = 0.5;
-    EXPECT_FALSE(sameMeasurement(a, b));
+#define NC_METRIC(type, member, column, kind)                           \
+    b = a;                                                              \
+    perturb(b.member);                                                  \
+    EXPECT_EQ(sameMeasurement(a, b),                                    \
+              MetricKind::kind == MetricKind::Diagnostic)               \
+        << #member;
+#include "src/harness/run_metrics.def"
+#undef NC_METRIC
+}
 
-    // Serving measurements participate in equality too.
-    b = a;
-    b.serveMeasured = 7;
-    EXPECT_FALSE(sameMeasurement(a, b));
-
-    b = a;
-    b.serveClasses[3].p99 = 1'234;
-    EXPECT_FALSE(sameMeasurement(a, b));
+TEST(MetricTable, ColumnsAreUniqueSnakeCase)
+{
+    std::set<std::string> columns = {"job", "workload", "config_digest",
+                                     "scale"};
+    const std::regex snake("[a-z0-9_]+");
+    forEachMetric(RunResult{}, [&](const std::string &column,
+                                   const auto &) {
+        EXPECT_TRUE(std::regex_match(column, snake)) << column;
+        EXPECT_TRUE(columns.insert(column).second)
+            << "duplicate column " << column;
+    });
 }
 
 } // namespace
