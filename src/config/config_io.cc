@@ -1,8 +1,10 @@
 #include "src/config/config_io.hh"
 
 #include <charconv>
+#include <cmath>
 #include <functional>
 #include <iomanip>
+#include <limits>
 #include <map>
 #include <ostream>
 #include <sstream>
@@ -39,16 +41,31 @@ toStr(double v)
     return std::string(buf, res.ptr);
 }
 
+/** The whole of @p s as an unsigned decimal no larger than @p max:
+ *  no sign, no trailing text. */
 std::uint64_t
-parseU64(const std::string &s)
+parseU64(const std::string &key, const std::string &s, std::uint64_t max)
 {
-    return std::stoull(s);
+    std::uint64_t v = 0;
+    const char *end = s.data() + s.size();
+    const auto res = std::from_chars(s.data(), end, v);
+    if (res.ec != std::errc() || res.ptr != end || v > max)
+        NC_FATAL("config key '", key, "': bad value '", s,
+                 "', want an unsigned integer no larger than ", max);
+    return v;
 }
 
+/** The whole of @p s as a finite number: no trailing text. */
 double
-parseDouble(const std::string &s)
+parseDouble(const std::string &key, const std::string &s)
 {
-    return std::stod(s);
+    double v = 0;
+    const char *end = s.data() + s.size();
+    const auto res = std::from_chars(s.data(), end, v);
+    if (res.ec != std::errc() || res.ptr != end || !std::isfinite(v))
+        NC_FATAL("config key '", key, "': bad value '", s,
+                 "', want a finite number");
+    return v;
 }
 
 bool
@@ -94,8 +111,9 @@ fields()
         {                                                                \
             [](const SystemConfig &c) { return toStr(c.expr); },         \
                 [](SystemConfig &c, const std::string &v) {              \
-                    c.expr = static_cast<decltype(c.expr)>(              \
-                        parseU64(v));                                    \
+                    using T = decltype(c.expr);                          \
+                    c.expr = static_cast<T>(parseU64(                    \
+                        name, v, std::numeric_limits<T>::max()));        \
                 }                                                        \
         }                                                                \
     }
@@ -105,7 +123,7 @@ fields()
         {                                                                \
             [](const SystemConfig &c) { return toStr(c.expr); },         \
                 [](SystemConfig &c, const std::string &v) {              \
-                    c.expr = parseDouble(v);                             \
+                    c.expr = parseDouble(name, v);                       \
                 }                                                        \
         }                                                                \
     }

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <iomanip>
+#include <limits>
 #include <ostream>
 #include <sstream>
 
@@ -31,12 +32,20 @@ serveCurveLoads(const ServeCurveSpec &spec)
     NC_ASSERT(spec.loadStop >= spec.loadStart,
               "serve curve range is empty: ", spec.loadStart, "..",
               spec.loadStop);
+    // Check the point count before converting it: a non-finite or huge
+    // count has no std::size_t value.
+    const double count =
+        std::floor((spec.loadStop - spec.loadStart) / spec.loadStep +
+                   1e-9) + 1;
+    if (!(count < static_cast<double>(
+                      std::numeric_limits<std::size_t>::max())))
+        NC_FATAL("serve curve range start=", spec.loadStart,
+                 " stop=", spec.loadStop, " step=", spec.loadStep,
+                 " has too many load points");
     std::vector<double> loads;
     // Step by index, not by accumulation, so the points are exactly
     // start + i*step regardless of length.
-    const auto n = static_cast<std::size_t>(
-        std::floor((spec.loadStop - spec.loadStart) / spec.loadStep +
-                   1e-9)) + 1;
+    const auto n = static_cast<std::size_t>(count);
     loads.reserve(n);
     for (std::size_t i = 0; i < n; ++i)
         loads.push_back(spec.loadStart +

@@ -72,8 +72,9 @@ struct ServeCurveResult
     std::map<std::string, double> kneeLoad;
 };
 
-/** The offered-load values the spec sweeps (validated; NC_FATAL on
- *  an empty or non-positive range). */
+/** The offered-load values the spec sweeps. Asserts a positive start
+ *  and step and a non-empty range; NC_FATAL when the number of points
+ *  has no std::size_t value. */
 std::vector<double> serveCurveLoads(const ServeCurveSpec &spec);
 
 /** Build the sweep (one serve job per config x load), named

@@ -39,20 +39,20 @@ Engine::scheduleWireAbs(Tick when, EventFn fn)
 Engine::CallbackEvent *
 Engine::acquireCallback()
 {
-    if (freeList_.empty()) {
+    if (freeHead_ == nullptr) {
         auto slab = std::make_unique<CallbackEvent[]>(kSlabSize);
-        freeList_.reserve(poolAllocated_ + kSlabSize);
         for (std::size_t i = 0; i < kSlabSize; ++i) {
             slab[i].owner = this;
-            freeList_.push_back(&slab[i]);
+            releaseCallback(&slab[i]);
         }
         slabs_.push_back(std::move(slab));
         poolAllocated_ += kSlabSize;
     }
-    CallbackEvent *ev = freeList_.back();
-    freeList_.pop_back();
+    auto *ev = static_cast<CallbackEvent *>(freeHead_);
+    freeHead_ = ev->next_;
+    --freeCount_;
     ev->setPhase(kPhaseDefault); // recycled nodes may have been wire
-    const std::size_t live = poolAllocated_ - freeList_.size();
+    const std::size_t live = poolAllocated_ - freeCount_;
     poolHighWater_ = std::max(poolHighWater_, live);
     return ev;
 }
@@ -99,10 +99,7 @@ Engine::runWindow(Tick limit)
 {
     const CurrentEngineScope scope(this, current_);
     stopRequested_ = false;
-    while (!queue_.empty()) {
-        if (queue_.nextTick() > limit)
-            return lastRunStatus_ = RunStatus::LimitHit;
-        Event *ev = queue_.pop();
+    while (Event *ev = queue_.popUntil(limit)) {
         NC_ASSERT(ev->when() >= now_, "event queue went backwards");
         now_ = ev->when();
         ++eventsExecuted_;
@@ -112,7 +109,8 @@ Engine::runWindow(Tick limit)
         if (stopRequested_)
             return lastRunStatus_ = RunStatus::Stopped;
     }
-    return lastRunStatus_ = RunStatus::Drained;
+    return lastRunStatus_ = queue_.empty() ? RunStatus::Drained
+                                           : RunStatus::LimitHit;
 }
 
 void

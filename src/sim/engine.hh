@@ -1,6 +1,9 @@
 /**
  * @file
  * The simulation engine: owns the event queue and the notion of "now".
+ * runWindow() dispatches with one EventQueue::popUntil() call per
+ * event, and one-shot callbacks live in a slab pool whose free list is
+ * an intrusive LIFO threaded through Event::next_.
  */
 
 #ifndef NETCRAFTER_SIM_ENGINE_HH
@@ -173,7 +176,7 @@ class Engine
     std::size_t callbackPoolAllocated() const { return poolAllocated_; }
 
     /** One-shot event nodes currently free for reuse. */
-    std::size_t callbackPoolFree() const { return freeList_.size(); }
+    std::size_t callbackPoolFree() const { return freeCount_; }
 
     /** Peak simultaneously pending one-shot events. */
     std::size_t callbackPoolHighWater() const { return poolHighWater_; }
@@ -247,8 +250,11 @@ class Engine
             local();
         }
 
-        EventFn fn;
+        // owner comes first: it fills the gap between Event's 40 bytes
+        // and fn's 16-byte alignment, so a node stays 128 bytes on
+        // x86-64.
         Engine *owner = nullptr;
+        EventFn fn;
     };
 
     /** Pooled nodes per slab; slabs are never freed while running. */
@@ -262,10 +268,13 @@ class Engine
 
     CallbackEvent *acquireCallback();
 
+    /** Push @p ev onto the free list; the next acquire reuses it. */
     void
     releaseCallback(CallbackEvent *ev)
     {
-        freeList_.push_back(ev);
+        ev->next_ = freeHead_;
+        freeHead_ = ev;
+        ++freeCount_;
     }
 
     /** The engine dispatching on this thread (see current()). */
@@ -279,7 +288,9 @@ class Engine
     std::uint64_t eventsExecuted_ = 0;
 
     std::vector<std::unique_ptr<CallbackEvent[]>> slabs_;
-    std::vector<CallbackEvent *> freeList_;
+    /** Top of the intrusive LIFO of free nodes (linked via next_). */
+    Event *freeHead_ = nullptr;
+    std::size_t freeCount_ = 0;
     std::size_t poolAllocated_ = 0;
     std::size_t poolHighWater_ = 0;
     std::vector<std::string> attachedNames_;

@@ -1,9 +1,11 @@
 /**
  * @file
  * Intrusive simulation events (gem5-style). A component owns its Event
- * objects statically — scheduling one links it into the event queue
- * without any allocation. One-shot dynamic callbacks instead go through
- * Engine::schedule(Tick, EventFn), which recycles pooled event nodes.
+ * objects statically — scheduling one threads it onto a wheel bucket of
+ * the event queue through its own link pointer, without any allocation.
+ * One-shot dynamic callbacks instead go through Engine::schedule(Tick,
+ * EventFn), which recycles pooled event nodes; a free node is never
+ * scheduled, so the pool threads its free list through the same link.
  */
 
 #ifndef NETCRAFTER_SIM_EVENT_HH
@@ -15,6 +17,7 @@
 
 namespace netcrafter::sim {
 
+class Engine;
 class EventQueue;
 
 /**
@@ -38,6 +41,10 @@ enum : std::uint8_t
  * Base class of everything the event queue can hold. The queue links
  * events intrusively: an Event must not be destroyed or rescheduled
  * while scheduled() is true.
+ *
+ * Layout (x86-64): vtable pointer, when_, seq_, next_, then phase_ and
+ * scheduled_ — 40 bytes, of which the six after scheduled_ are padding
+ * kept free for a one-byte tag.
  */
 class Event
 {
@@ -75,10 +82,14 @@ class Event
     ~Event() = default;
 
   private:
+    friend class Engine;
     friend class EventQueue;
 
     Tick when_ = 0;
     std::uint64_t seq_ = 0;
+    /** Next event in the same wheel bucket while scheduled; the next
+     *  free node of the engine's callback pool while pooled. */
+    Event *next_ = nullptr;
     std::uint8_t phase_ = kPhaseDefault;
     bool scheduled_ = false;
 };

@@ -8,9 +8,17 @@
  * cycles of "now" (links and switches wake at now+1, cache lookups a
  * handful of cycles out, L2 and DRAM about a hundred), so the wheel
  * covers the next kWheelSlots = 256 ticks with O(1) push/pop FIFO
- * buckets and a four-word occupancy bitmap. Only events kWheelSlots or
- * more ticks out overflow into a comparison-ordered heap and migrate
- * into the wheel as its base advances.
+ * buckets and a four-word occupancy bitmap. Each bucket is an
+ * intrusive {head, tail} list threaded through Event::next_, so
+ * scheduling writes three pointers and touches no container. Only
+ * events kWheelSlots or more ticks out overflow into a
+ * comparison-ordered heap and migrate into the wheel as its base
+ * advances.
+ *
+ * The dispatch loop pops through popUntil(limit), one call per event:
+ * while the drain point's own slot still holds events it returns the
+ * next of them without scanning the bitmap, and otherwise it scans the
+ * bitmap once to find the next occupied tick.
  *
  * Ordering contract: events pop in ascending (tick, phase,
  * schedule-sequence) order — same-tick same-phase events fire in exact
@@ -100,38 +108,47 @@ class EventQueue
     }
 
     /**
-     * Unlink and return the earliest event. Requires !empty(). The
-     * returned event is no longer scheduled(); its when() gives the
-     * firing tick.
+     * Unlink and return the earliest event if it fires at or before
+     * @p limit. Otherwise return nullptr and leave the queue as it was:
+     * the drain point stays at the last popped tick, so events may
+     * still be scheduled anywhere from there on. The returned event is
+     * no longer scheduled(); its when() gives the firing tick.
      */
     Event *
-    pop()
+    popUntil(Tick limit)
     {
-        NC_ASSERT(count_ > 0, "pop() on empty event queue");
-        if (wheelCount_ == 0)
-            advanceTo(heap_.front()->when_);
-        const Tick tick = base_ + firstOccupiedOffset();
-        if (tick != base_)
+        std::size_t s = slotOf(base_);
+        if (slots_[s].empty()) {
+            if (count_ == 0)
+                return nullptr;
+            const Tick tick = wheelCount_ > 0
+                                  ? base_ + firstOccupiedOffset()
+                                  : heap_.front()->when_;
+            if (tick > limit)
+                return nullptr;
             advanceTo(tick);
-
-        const std::size_t s = slotOf(tick);
-        Slot &slot = slots_[s];
-        Event *ev;
-        if (slot.wireHead < slot.wire.size())
-            ev = slot.wire[slot.wireHead++];
-        else
-            ev = slot.q[slot.head++];
-        if (slot.wireHead == slot.wire.size() &&
-            slot.head == slot.q.size()) {
-            slot.wire.clear();
-            slot.wireHead = 0;
-            slot.q.clear();
-            slot.head = 0;
-            occupied_[s / 64] &= ~(std::uint64_t{1} << (s % 64));
+            s = slotOf(tick);
+        } else if (base_ > limit) {
+            return nullptr;
         }
+
+        Slot &slot = slots_[s];
+        Event *ev = slot.wire.head != nullptr ? slot.wire.pop()
+                                              : slot.q.pop();
+        if (slot.empty())
+            occupied_[s / 64] &= ~(std::uint64_t{1} << (s % 64));
         --wheelCount_;
         --count_;
         ev->scheduled_ = false;
+        return ev;
+    }
+
+    /** popUntil(kTickNever) on a queue that must not be empty. */
+    Event *
+    pop()
+    {
+        Event *ev = popUntil(kTickNever);
+        NC_ASSERT(ev != nullptr, "pop() on empty event queue");
         return ev;
     }
 
@@ -139,16 +156,9 @@ class EventQueue
     void
     clear()
     {
-        for (auto &slot : slots_) {
-            for (std::size_t i = slot.wireHead; i < slot.wire.size();
-                 ++i)
-                slot.wire[i]->scheduled_ = false;
+        for (Slot &slot : slots_) {
             slot.wire.clear();
-            slot.wireHead = 0;
-            for (std::size_t i = slot.head; i < slot.q.size(); ++i)
-                slot.q[i]->scheduled_ = false;
             slot.q.clear();
-            slot.head = 0;
         }
         for (Event *ev : heap_)
             ev->scheduled_ = false;
@@ -172,14 +182,52 @@ class EventQueue
     static_assert(kWheelSlots % 64 == 0 && std::has_single_bit(kBitmapWords),
                   "kWheelSlots must be a power-of-two multiple of 64");
 
+    /** FIFO of events threaded through Event::next_. */
+    struct Bucket
+    {
+        Event *head = nullptr;
+        /** Last event; meaningful only while head is non-null. */
+        Event *tail = nullptr;
+
+        void
+        push(Event *ev)
+        {
+            ev->next_ = nullptr;
+            (head == nullptr ? head : tail->next_) = ev;
+            tail = ev;
+        }
+
+        /** Requires head != nullptr. */
+        Event *
+        pop()
+        {
+            Event *ev = head;
+            head = ev->next_;
+            return ev;
+        }
+
+        /** Unschedule and drop every event. */
+        void
+        clear()
+        {
+            for (Event *ev = head; ev != nullptr; ev = ev->next_)
+                ev->scheduled_ = false;
+            head = nullptr;
+        }
+    };
+
     struct Slot
     {
-        /** Wire-phase FIFO bucket, drained before q (see event.hh). */
-        std::vector<Event *> wire;
-        std::size_t wireHead = 0;
-        /** Default-phase FIFO bucket: push_back appends, head fronts. */
-        std::vector<Event *> q;
-        std::size_t head = 0;
+        /** Wire-phase bucket, drained before q (see event.hh). */
+        Bucket wire;
+        /** Default-phase bucket. */
+        Bucket q;
+
+        bool
+        empty() const
+        {
+            return wire.head == nullptr && q.head == nullptr;
+        }
     };
 
     static std::size_t
@@ -192,10 +240,7 @@ class EventQueue
     pushSlot(Event *ev)
     {
         const std::size_t s = slotOf(ev->when_);
-        if (ev->phase_ == kPhaseWire)
-            slots_[s].wire.push_back(ev);
-        else
-            slots_[s].q.push_back(ev);
+        (ev->phase_ == kPhaseWire ? slots_[s].wire : slots_[s].q).push(ev);
         occupied_[s / 64] |= std::uint64_t{1} << (s % 64);
         ++wheelCount_;
     }

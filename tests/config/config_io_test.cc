@@ -72,6 +72,46 @@ TEST(ConfigIo, BadEnumIsFatal)
                  "bad L1 fill mode");
 }
 
+TEST(ConfigIo, NumbersParseTheWholeValue)
+{
+    SystemConfig parsed = parseConfigString(
+        "topology.clusters = 4294967295\n"
+        "seed = 18446744073709551615\n"
+        "network.inter_gbps = 1.5e1\n");
+    EXPECT_EQ(parsed.numClusters, 4294967295u);
+    EXPECT_EQ(parsed.seed, 18446744073709551615u);
+    EXPECT_DOUBLE_EQ(parsed.interClusterGBps, 15.0);
+}
+
+TEST(ConfigIo, LooseNumbersAreFatal)
+{
+    // Each value must fail naming its key and itself, rather than be
+    // truncated to the field's width, negated, cut at the first
+    // non-digit, taken as NaN, or escape as an exception.
+    const struct
+    {
+        const char *line;
+        const char *message;
+    } rows[] = {
+        {"topology.clusters = 4294967298",
+         "topology\\.clusters.*'4294967298'"},
+        {"l1.assoc = -4", "l1\\.assoc.*'-4'"},
+        {"l1.assoc = +4", "l1\\.assoc.*'\\+4'"},
+        {"seed = 12abc", "seed.*'12abc'"},
+        {"seed = abc", "seed.*'abc'"},
+        {"seed = 18446744073709551616", "seed.*'18446744073709551616'"},
+        {"network.inter_gbps = 16GB", "network\\.inter_gbps.*'16GB'"},
+        {"network.inter_gbps = nan", "network\\.inter_gbps.*'nan'"},
+        {"network.inter_gbps = inf", "network\\.inter_gbps.*'inf'"},
+        {"network.inter_gbps =", "network\\.inter_gbps.*''"},
+    };
+    for (const auto &row : rows) {
+        EXPECT_EXIT(parseConfigString(row.line),
+                    testing::ExitedWithCode(1), row.message)
+            << row.line;
+    }
+}
+
 TEST(ConfigIo, ModeNames)
 {
     EXPECT_STREQ(sequencingModeName(SequencingMode::Off), "off");

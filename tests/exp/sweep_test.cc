@@ -1,7 +1,11 @@
-/** @file Tests for the declarative SweepSpec. */
+/** @file Tests for the declarative SweepSpec and the serve-curve load
+ *  range. */
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "src/exp/serve_curve.hh"
 #include "src/exp/sweep.hh"
 
 namespace netcrafter::exp {
@@ -52,6 +56,32 @@ TEST(SweepSpecDeathTest, UnknownNameIsFatal)
     SweepSpec spec("s");
     EXPECT_EXIT(spec.indexOf("missing"), testing::ExitedWithCode(1),
                 "no job named");
+}
+
+TEST(ServeCurveLoads, StepsInclusivelyByIndex)
+{
+    ServeCurveSpec spec;
+    spec.loadStart = 2;
+    spec.loadStop = 6;
+    spec.loadStep = 2;
+    EXPECT_EQ(serveCurveLoads(spec), (std::vector<double>{2, 4, 6}));
+
+    // A step longer than the range still yields the start point.
+    spec.loadStart = 1;
+    spec.loadStop = 1;
+    spec.loadStep = 5;
+    EXPECT_EQ(serveCurveLoads(spec), (std::vector<double>{1}));
+}
+
+TEST(ServeCurveLoadsDeathTest, CountBeyondSizeTIsFatal)
+{
+    // (1e300 - 1) / 1e-300 overflows to infinity: no point count.
+    ServeCurveSpec spec;
+    spec.loadStart = 1;
+    spec.loadStop = 1e300;
+    spec.loadStep = 1e-300;
+    EXPECT_EXIT(serveCurveLoads(spec), testing::ExitedWithCode(1),
+                "start=1 stop=1e\\+300 step=1e-300");
 }
 
 } // namespace

@@ -11,6 +11,7 @@
  */
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -216,8 +217,9 @@ parseLoadRange(const std::string &text, exp::ServeCurveSpec &spec)
         char *end = nullptr;
         vals[i] = std::strtod(field.c_str(), &end);
         if (field.empty() || end == nullptr || *end != '\0' ||
-            vals[i] <= 0) {
-            std::cerr << "--offered-load values must be positive, got '"
+            !std::isfinite(vals[i]) || vals[i] <= 0) {
+            std::cerr << "--offered-load values must be positive "
+                         "finite numbers, got '"
                       << field << "' in '" << text << "'\n";
             std::exit(usage(1));
         }
